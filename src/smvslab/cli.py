@@ -13,7 +13,7 @@ import numpy as np
 from . import __version__
 from .attacks import ATTACK_MODELS, AttackSpec, SpooferState, attack_dataset
 from .datasets import FrameDataset, load_dataset, save_dataset, write_manifest
-from .errors import SmvslabError
+from .errors import ParameterError, SmvslabError
 from .geometry import AzimuthBinning, PointCloud, load_xyz, save_xyz
 from .metrics import DEFAULT_BUCKET_EDGES, RunRecord, ape, bucket_report, rpe
 from .pipelines import PipelineConfig, build_prior_map, odometry_run, priormap_localize
@@ -42,15 +42,18 @@ def _read_config_file(path) -> dict:
     return out
 
 
-def _apply_config_defaults(args, parser):
-    """Plain-text key=value config fills in anything the flags left at default."""
+def _apply_config_defaults(args, argv):
+    """Plain-text key=value config fills in anything the flags in `argv` left
+    at default. A flag counts as given in full, as `--flag=value` or as an
+    abbreviation argparse accepted."""
     if not getattr(args, "config", None):
         return args
     file_values = _read_config_file(args.config)
-    provided = {a.lstrip("-").replace("-", "_") for a in sys.argv if a.startswith("--")}
+    given = [a.split("=", 1)[0] for a in argv if a.startswith("--") and a != "--"]
     for key, raw in file_values.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr) or attr in provided:
+        flag = "--" + attr.replace("_", "-")
+        if not hasattr(args, attr) or any(flag.startswith(g) for g in given):
             continue
         current = getattr(args, attr)
         if isinstance(current, bool):
@@ -344,18 +347,24 @@ def _cmd_report(args, seed):
 
     runs = []
     with open(args.runs, "r") as f:
-        header = f.readline()
-        for line in f:
-            parts = line.strip().split(",")
-            if len(parts) < 4:
+        f.readline()                                        # header
+        for lineno, line in enumerate(f, start=2):
+            if not line.strip():
                 continue
-            smvs, model, ape_m, ape_deg = parts[0], parts[1], parts[2], parts[3]
+            parts = line.strip().split(",")
+            if len(parts) != 4:
+                raise ParameterError(f"{args.runs}:{lineno}: expected 4 fields, got {len(parts)}")
+            model = parts[1]
+            try:
+                smvs, ape_m, ape_deg = float(parts[0]), float(parts[2]), float(parts[3])
+            except ValueError:
+                raise ParameterError(f"{args.runs}:{lineno}: non-numeric field") from None
             stats = ApeStats(
-                rmse=float(ape_m), mean=float(ape_m), std=0.0, max=float(ape_m),
-                rot_rmse_deg=float(ape_deg), rot_mean_deg=float(ape_deg),
-                rot_max_deg=float(ape_deg), count=1,
+                rmse=ape_m, mean=ape_m, std=0.0, max=ape_m,
+                rot_rmse_deg=ape_deg, rot_mean_deg=ape_deg,
+                rot_max_deg=ape_deg, count=1,
             )
-            runs.append(RunRecord(smvs=float(smvs), model=model, ape=stats))
+            runs.append(RunRecord(smvs=smvs, model=model, ape=stats))
     edges = tuple(float(v) for v in args.edges.split(","))
     table = bucket_report(runs, edges)
     os.makedirs(args.out, exist_ok=True)
@@ -467,9 +476,9 @@ _COMMANDS = {
 
 
 def dispatch(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args = _apply_config_defaults(args, parser)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args = _apply_config_defaults(args, argv)
     seed = args.seed if args.seed is not None else _default_seed()
     try:
         return _COMMANDS[args.command](args, seed)

@@ -2,15 +2,17 @@
 
 The cost per correspondence (a_i, b_i) is the Mahalanobis distance
 d_i^T W_i d_i with d_i = b_i - T a_i and W_i = (C_i^B + R C_i^A R^T)^-1,
-the weight held fixed within one linearization. Residuals are whitened
-with the Cholesky factor of W_i so the normal equations take the plain
-J^T J / J^T r form and the per-point local Hessians sum exactly to the
-global one.
+the weight held fixed within one linearization. With q_i = T a_i and
+J_i = [skew(q_i) | -I], the normal equations are H = sum J_i^T W_i J_i and
+g = sum J_i^T W_i d_i. `linearize` builds H, g and the cost straight from
+W and q; the per-point local Hessians J_i^T W_i J_i, which sum to H, are
+built only when SMVS reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,21 +30,59 @@ class MatcherConfig:
     max_damping_retries: int = 8
 
 
+def _fixed_cost(source_points, target_points, weights, pose) -> float:
+    """sum d^T W d with d = b - T a, for matched points and their weights."""
+    d = target_points - pose.apply(source_points)
+    return float(np.einsum("ni,ni->", d, np.einsum("nij,nj->ni", weights, d)))
+
+
 @dataclass
 class LinearSystem:
-    """One linearization: global normal equations plus per-point pieces."""
+    """One linearization: the global normal equations, and the fixed
+    correspondences and weights that re-evaluate its cost at another pose
+    and build its per-point pieces on demand."""
 
     h_global: np.ndarray            # (6, 6)
     b_global: np.ndarray            # (6,)
-    local_hessians: np.ndarray      # (N, 6, 6); zero rows for unmatched points
-    residual_norms: np.ndarray      # (N,)
     correspondences: np.ndarray     # (N,) target ids, -1 where unmatched
     cost: float
-    weights: np.ndarray | None = None   # (m, 3, 3), matched rows only
+    weights: np.ndarray             # (m, 3, 3), matched rows only
+    pose: PoseSE3                   # the linearization pose
+    source_points: np.ndarray       # (m, 3) matched source points, source frame
+    target_points: np.ndarray       # (m, 3) their targets
 
     @property
     def num_correspondences(self) -> int:
-        return int(np.count_nonzero(self.correspondences >= 0))
+        return len(self.weights)
+
+    def cost_at(self, pose: PoseSE3) -> float:
+        """Cost at `pose` with correspondences and weights held fixed."""
+        return _fixed_cost(self.source_points, self.target_points, self.weights, pose)
+
+    @cached_property
+    def matched_hessians(self) -> np.ndarray:
+        """(m, 6, 6) local Hessians J^T W J of the matched points."""
+        q = self.pose.apply(self.source_points)
+        eye = np.broadcast_to(np.eye(3), (len(q), 3, 3))
+        jd = np.concatenate([skew_batch(q), -eye], axis=2)
+        return jd.transpose(0, 2, 1) @ self.weights @ jd
+
+    @cached_property
+    def local_hessians(self) -> np.ndarray:
+        """(N, 6, 6) local Hessians; zero rows for unmatched points."""
+        out = np.zeros((len(self.correspondences), 6, 6))
+        out[self.correspondences >= 0] = self.matched_hessians
+        return out
+
+    @cached_property
+    def residual_norms(self) -> np.ndarray:
+        """(N,) whitened residual norms sqrt(d^T W d); zero for unmatched points."""
+        d = self.target_points - self.pose.apply(self.source_points)
+        out = np.zeros(len(self.correspondences))
+        out[self.correspondences >= 0] = np.sqrt(
+            np.einsum("ni,ni->n", d, np.einsum("nij,nj->ni", self.weights, d))
+        )
+        return out
 
 
 @dataclass
@@ -51,16 +91,6 @@ class MatchResult:
     iterations: int
     converged: bool
     final_cost: float               # cost at the last linearization pose
-
-
-def _weights(target_covs, source_covs, rotation):
-    """W = (C_B + R C_A R^T)^-1 and its Cholesky factor, batched."""
-    rotated = np.einsum("ij,njk,lk->nil", rotation, source_covs, rotation)
-    combined = target_covs + rotated
-    w = np.linalg.inv(combined)
-    w = 0.5 * (w + np.transpose(w, (0, 2, 1)))
-    chol = np.linalg.cholesky(w)
-    return w, chol
 
 
 def _inverse_sym3(m):
@@ -77,6 +107,20 @@ def _inverse_sym3(m):
     det = a * out[:, 0, 0] + b * out[:, 0, 1] + c * out[:, 0, 2]
     out /= det[:, None, None]
     return out
+
+
+def _rotate_covariances(covs, rotation):
+    """R C R^T for a stack of 3x3 matrices C, as two (3n, 3) x (3, 3) products."""
+    n = len(covs)
+    c_rt = (covs.reshape(-1, 3) @ rotation.T).reshape(n, 3, 3)
+    r_c_rt = c_rt.transpose(0, 2, 1).reshape(-1, 3) @ rotation.T   # rows of (R C R^T)^T
+    return r_c_rt.reshape(n, 3, 3).transpose(0, 2, 1)
+
+
+# S = skew(q) has S[a, c] = sum_e LEVI_CIVITA[a, e, c] q_e.
+_LEVI_CIVITA = np.zeros((3, 3, 3))
+_LEVI_CIVITA[0, 1, 2] = _LEVI_CIVITA[1, 2, 0] = _LEVI_CIVITA[2, 0, 1] = 1.0
+_LEVI_CIVITA[0, 2, 1] = _LEVI_CIVITA[2, 1, 0] = _LEVI_CIVITA[1, 0, 2] = -1.0
 
 
 def _correspond(source_world, target_index, max_corr_dist):
@@ -98,6 +142,9 @@ def linearize(
 
     Jacobians use the left-multiplicative perturbation T <- Exp(delta)*T,
     giving d(T a)/dw = -skew(T a) and d(T a)/dv = I for each matched point.
+    With S = skew(q), H = sum [S | -I]^T W [S | -I] and g = sum [S | -I]^T W d;
+    the sums over points are taken as matrix products of q and W, with S
+    spelled out through the Levi-Civita symbol.
     """
     if max_corr_dist <= 0:
         raise ParameterError("max_corr_dist must be > 0")
@@ -109,48 +156,37 @@ def linearize(
     rotation = pose.rotation_matrix()
     src_world = source.points @ rotation.T + pose.translation
     ids, matched = _correspond(src_world, target_index, max_corr_dist)
-
-    n = len(source)
-    local_h = np.zeros((n, 6, 6))
-    res_norms = np.zeros(n)
-    h_global = np.zeros((6, 6))
-    b_global = np.zeros(6)
-
-    m = int(np.count_nonzero(matched))
-    if m == 0:
+    if not matched.any():
         raise DegenerateLinearizationError("no correspondences within max_corr_dist")
-
-    q = src_world[matched]                              # transformed source points
-    tgt = target_index.cloud
-    b_pts = tgt.points[ids[matched]]
-    weights, chol = _weights(
-        target_index.covariances_at(ids[matched]), source.covariances[matched], rotation
+    matched_ids = ids[matched]
+    q = src_world[matched]
+    b_pts = target_index.cloud.points[matched_ids]
+    weights = _inverse_sym3(
+        target_index.covariances_at(matched_ids)
+        + _rotate_covariances(source.covariances[matched], rotation)
     )
-    d = b_pts - q                                       # (m, 3)
-    r = np.einsum("nji,nj->ni", chol, d)                # L^T d, whitened residual
-
-    # J_d = [skew(q) | -I]; residual r = L^T (b - T a) so dr/ddelta = -L^T J_q
-    # with J_q = [-skew(q) | I], i.e. J = L^T [skew(q) | -I].
-    jd = np.concatenate([skew_batch(q), -np.broadcast_to(np.eye(3), (m, 3, 3))], axis=2)
-    j = np.einsum("nji,njk->nik", chol, jd)             # (m, 3, 6)
-
-    h_local = np.einsum("nij,nik->njk", j, j)
-    b_local = np.einsum("nij,ni->nj", j, r)
-
-    local_h[matched] = h_local
-    res_norms[matched] = np.linalg.norm(r, axis=1)
-    h_global = h_local.sum(axis=0)
-    b_global = b_local.sum(axis=0)
-    cost = float(np.sum(r * r))
-
+    d = b_pts - q
+    wd = np.einsum("nij,nj->ni", weights, d)
+    m = len(q)
+    w9 = weights.reshape(m, 9)
+    qw = (q.T @ w9).reshape(3, 3, 3)                                    # sum q_e W_cb
+    qqw = ((q[:, :, None] * q[:, None, :]).reshape(m, 9).T @ w9).reshape(3, 3, 3, 3)
+    h = np.empty((6, 6))
+    h[:3, :3] = np.einsum("cea,dfb,efcd->ab", _LEVI_CIVITA, _LEVI_CIVITA, qqw)   # S^T W S
+    h[:3, 3:] = np.einsum("aec,ecb->ab", _LEVI_CIVITA, qw)                       # S W
+    h[3:, :3] = h[:3, 3:].T
+    h[3:, 3:] = w9.sum(axis=0).reshape(3, 3)
+    # S^T W d = (W d) x q
+    g = np.concatenate([np.cross(wd, q).sum(axis=0), -wd.sum(axis=0)])
     return LinearSystem(
-        h_global=h_global,
-        b_global=b_global,
-        local_hessians=local_h,
-        residual_norms=res_norms,
+        h_global=h,
+        b_global=g,
         correspondences=ids,
-        cost=cost,
+        cost=float(np.einsum("ni,ni->", d, wd)),
         weights=weights,
+        pose=pose,
+        source_points=source.points[matched],
+        target_points=b_pts,
     )
 
 
@@ -167,84 +203,8 @@ def matching_cost(
     order the matched points appear in the source cloud.
     """
     matched = correspondences >= 0
-    rotation = pose.rotation_matrix()
-    q = source.points[matched] @ rotation.T + pose.translation
-    d = target.points[correspondences[matched]] - q
-    return float(np.einsum("ni,nij,nj->", d, weights, d))
-
-
-def _rotate_covariances(covs, rotation):
-    """R C R^T for a stack of 3x3 matrices C, as two (3n, 3) x (3, 3) products."""
-    n = len(covs)
-    c_rt = (covs.reshape(-1, 3) @ rotation.T).reshape(n, 3, 3)
-    r_c_rt = c_rt.transpose(0, 2, 1).reshape(-1, 3) @ rotation.T   # rows of (R C R^T)^T
-    return r_c_rt.reshape(n, 3, 3).transpose(0, 2, 1)
-
-
-# S = skew(q) has S[a, c] = sum_e LEVI_CIVITA[a, e, c] q_e.
-_LEVI_CIVITA = np.zeros((3, 3, 3))
-_LEVI_CIVITA[0, 1, 2] = _LEVI_CIVITA[1, 2, 0] = _LEVI_CIVITA[2, 0, 1] = 1.0
-_LEVI_CIVITA[0, 2, 1] = _LEVI_CIVITA[2, 1, 0] = _LEVI_CIVITA[1, 0, 2] = -1.0
-
-
-@dataclass
-class _NormalEquations:
-    """H and g of one linearization, and the fixed pieces that re-evaluate
-    its cost at another pose: matched source points, their targets, W."""
-
-    h: np.ndarray                   # (6, 6)
-    g: np.ndarray                   # (6,)
-    cost: float
-    source_points: np.ndarray       # (m, 3), source frame
-    target_points: np.ndarray       # (m, 3)
-    weights: np.ndarray             # (m, 3, 3)
-
-    def cost_at(self, pose: PoseSE3) -> float:
-        q = self.source_points @ pose.rotation_matrix().T + pose.translation
-        d = self.target_points - q
-        return float(np.einsum("ni,ni->", d, np.einsum("nij,nj->ni", self.weights, d)))
-
-
-def _normal_equations(source, index, pose, max_corr_dist) -> _NormalEquations:
-    """The normal equations of `linearize`, built straight from W and skew(q).
-
-    With S = skew(q) and J_d = [S | -I], H = sum J_d^T W J_d and
-    g = sum J_d^T W d. The sums over points are taken as matrix products
-    of q and W, with S spelled out through the Levi-Civita symbol. No
-    Cholesky factor, whitened Jacobian or per-point Hessian is formed; H and
-    g equal `linearize`'s up to rounding.
-    """
-    rotation = pose.rotation_matrix()
-    src_world = source.points @ rotation.T + pose.translation
-    ids, matched = _correspond(src_world, index, max_corr_dist)
-    if not matched.any():
-        raise DegenerateLinearizationError("no correspondences within max_corr_dist")
-    ids = ids[matched]
-    q = src_world[matched]
-    b_pts = index.cloud.points[ids]
-    weights = _inverse_sym3(
-        index.covariances_at(ids) + _rotate_covariances(source.covariances[matched], rotation)
-    )
-    d = b_pts - q
-    wd = np.einsum("nij,nj->ni", weights, d)
-    m = len(q)
-    w9 = weights.reshape(m, 9)
-    qw = (q.T @ w9).reshape(3, 3, 3)                                    # sum q_e W_cb
-    qqw = ((q[:, :, None] * q[:, None, :]).reshape(m, 9).T @ w9).reshape(3, 3, 3, 3)
-    h = np.empty((6, 6))
-    h[:3, :3] = np.einsum("cea,dfb,efcd->ab", _LEVI_CIVITA, _LEVI_CIVITA, qqw)   # S^T W S
-    h[:3, 3:] = np.einsum("aec,ecb->ab", _LEVI_CIVITA, qw)                       # S W
-    h[3:, :3] = h[:3, 3:].T
-    h[3:, 3:] = w9.sum(axis=0).reshape(3, 3)
-    # S^T W d = (W d) x q
-    g = np.concatenate([np.cross(wd, q).sum(axis=0), -wd.sum(axis=0)])
-    return _NormalEquations(
-        h=h,
-        g=g,
-        cost=float(np.einsum("ni,ni->", d, wd)),
-        source_points=source.points[matched],
-        target_points=b_pts,
-        weights=weights,
+    return _fixed_cost(
+        source.points[matched], target.points[correspondences[matched]], weights, pose
     )
 
 
@@ -256,13 +216,10 @@ def gauss_newton_align(
 ) -> MatchResult:
     """Iterate linearize + damped solve until the update norm converges.
 
-    Each iteration builds the normal equations of `linearize` without its
-    per-point pieces (see `_normal_equations`).
-
     `target` may be a PointCloud or a prebuilt SpatialIndex. Levenberg
     damping is added to the H diagonal whenever the smallest eigenvalue
     drops below cfg.min_eigenvalue, and increased until the step does not
-    raise the fixed-correspondence cost.
+    raise the fixed-correspondence cost (`LinearSystem.cost_at`).
     """
     cfg = cfg or MatcherConfig()
     init = init or PoseSE3.identity()
@@ -283,18 +240,18 @@ def gauss_newton_align(
     iterations = 0
 
     for iterations in range(1, cfg.max_iterations + 1):
-        system = _normal_equations(source, index, pose, cfg.max_corr_dist)
+        system = linearize(source, index, pose, cfg.max_corr_dist)
         cost = system.cost
-        eigvals = np.linalg.eigvalsh(system.h)
+        eigvals = np.linalg.eigvalsh(system.h_global)
         lam = 0.0
         if eigvals[0] < cfg.min_eigenvalue:
             lam = cfg.min_eigenvalue - eigvals[0]
 
         step = None
         for _ in range(cfg.max_damping_retries + 1):
-            h = system.h + lam * np.eye(6)
+            h = system.h_global + lam * np.eye(6)
             try:
-                delta = -np.linalg.solve(h, system.g)
+                delta = -np.linalg.solve(h, system.b_global)
             except np.linalg.LinAlgError:
                 delta = np.full(6, np.nan)
             if not np.isfinite(delta).all():

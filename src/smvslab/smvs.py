@@ -169,7 +169,7 @@ def pointwise_smvs(
     matched = system.correspondences >= 0
     local_vecs = np.zeros((len(source), 6))
     if matched.any():
-        _, vecs = np.linalg.eigh(system.local_hessians[matched])
+        _, vecs = np.linalg.eigh(system.matched_hessians)
         local_vecs[matched] = vecs[:, :, -1]
 
     importance = np.abs(local_vecs @ x_min)
@@ -302,17 +302,22 @@ def trajectory_smvs(
 def load_profile_csv(path) -> SmvsProfile:
     entries = []
     with open(path, "r") as f:
-        header = f.readline()
-        for line in f:
+        f.readline()                                        # header
+        for lineno, line in enumerate(f, start=2):
+            if not line.strip():
+                continue
             parts = line.strip().split(",")
             if len(parts) != 11:
-                continue
-            frame_id = int(parts[0])
-            timestamp = float(parts[1])
-            value = float(parts[2])
-            k_center = int(parts[3])
-            t = [float(v) for v in parts[4:7]]
-            q = [float(v) for v in parts[7:11]]
+                raise ParameterError(f"{path}:{lineno}: expected 11 fields, got {len(parts)}")
+            try:
+                frame_id = int(parts[0])
+                timestamp = float(parts[1])
+                value = float(parts[2])
+                k_center = int(parts[3])
+                t = [float(v) for v in parts[4:7]]
+                q = [float(v) for v in parts[7:11]]
+            except ValueError:
+                raise ParameterError(f"{path}:{lineno}: non-numeric field") from None
             entries.append(
                 SmvsFrameEntry(
                     frame_id=frame_id,

@@ -170,6 +170,33 @@ def test_report_command(tmp_path):
     assert len(table) == 5
 
 
+def test_report_rejects_malformed_rows(tmp_path, capsys):
+    runs = tmp_path / "runs.csv"
+    out = tmp_path / "report"
+    header = "smvs,model,ape_m,ape_deg\n-9000.0,removal_noise,4.0,2.0\n"
+    for bad in ("-500.0,injection\n", "-500.0,injection,oops,0.1\n"):
+        runs.write_text(header + bad)
+        assert run(["report", "--runs", str(runs), "--out", str(out)]) == 1
+        assert f"{runs}:3:" in capsys.readouterr().err
+    assert not (out / "bucket_table.csv").exists()
+
+
+def test_flags_win_over_config_file(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("rings=4\nhres=4.0\nmax-range=20.0\nrange-noise=0.02\n")
+    out = tmp_path / "scene"
+    assert run(
+        ["scene", "--out", str(out), "--rings", "8", "--hres=2.0", "--max-r", "25.0",
+         "--config", str(cfg)]
+        + SHORT_COURSE
+    ) == 0
+    manifest = read_manifest(out / "manifest.txt")
+    assert manifest["rings"] == "8"
+    assert manifest["hres"] == "2.0"
+    assert manifest["max_range"] == "25.0"
+    assert manifest["range_noise"] == "0.02"        # not given: the config fills it
+
+
 def test_config_file_fills_defaults(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("seed=3\nlength=12.0\nspeed=6.0\nrate=10.0\nrings=8\nhres=2.0\nmax-range=25.0\nrange-noise=0.01\n")

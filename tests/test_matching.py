@@ -1,5 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from smvslab.errors import DegenerateLinearizationError, ParameterError
 from smvslab.geometry import PointCloud, SpatialIndex, estimate_covariances
@@ -9,7 +14,7 @@ from smvslab.matching import (
     linearize,
     matching_cost,
 )
-from smvslab.se3 import PoseSE3, left_update
+from smvslab.se3 import PoseSE3, exp_twist, left_update
 
 
 def random_spd(rng, n):
@@ -28,8 +33,6 @@ def make_problem(seed, n=40, offset=0.05):
 
 
 def random_pose(rng, scale=0.05):
-    from smvslab.se3 import exp_twist
-
     return exp_twist(scale * rng.normal(size=6))
 
 
@@ -200,30 +203,165 @@ def test_matcher_config_used():
     assert result.iterations == 1
 
 
-def test_normal_equations_match_linearize():
-    # The Gauss-Newton loop builds H, g and the cost straight from W and
-    # skew(q); they must equal the whitened per-point linearization.
-    from smvslab.matching import _normal_equations
+def skew(v):
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
 
+
+def whitened_reference(source, index, pose, max_corr_dist=2.0):
+    """The linearization spelled out point by point, as GICP writes it.
+
+    Brute-force nearest targets; W = (C_B + R C_A R^T)^-1 with Cholesky
+    factor L, whitened residual r = L^T d and Jacobian J = L^T [skew(q) | -I];
+    H = sum J^T J, g = sum J^T r and cost = sum |r|^2.
+    """
+    rot = pose.rotation_matrix()
+    tgt = index.cloud
+    n = len(source)
+    ids = np.full(n, -1)
+    local = np.zeros((n, 6, 6))
+    h, g, cost, weights = np.zeros((6, 6)), np.zeros(6), 0.0, []
+    for i in range(n):
+        q = rot @ source.points[i] + pose.translation
+        dist = np.linalg.norm(tgt.points - q, axis=1)
+        j = int(np.argmin(dist))
+        if dist[j] > max_corr_dist:
+            continue
+        ids[i] = j
+        w = np.linalg.inv(tgt.covariances[j] + rot @ source.covariances[i] @ rot.T)
+        w = 0.5 * (w + w.T)
+        chol = np.linalg.cholesky(w)
+        r = chol.T @ (tgt.points[j] - q)
+        jac = chol.T @ np.hstack([skew(q), -np.eye(3)])
+        local[i] = jac.T @ jac
+        h += local[i]
+        g += jac.T @ r
+        cost += r @ r
+        weights.append(w)
+    return SimpleNamespace(
+        ids=ids, h=h, g=g, cost=cost, weights=np.array(weights), local=local
+    )
+
+
+def reference_cost_at(source, index, ref, pose):
+    """sum d^T W d at another pose, correspondences and weights from `ref`."""
+    rot = pose.rotation_matrix()
+    total = 0.0
+    for i, w in zip(np.flatnonzero(ref.ids >= 0), ref.weights):
+        d = index.cloud.points[ref.ids[i]] - (rot @ source.points[i] + pose.translation)
+        total += d @ w @ d
+    return total
+
+
+def test_normal_equations_match_linearize():
+    # linearize builds H, g and the cost straight from W and skew(q); they
+    # must equal the whitened per-point reference.
     for seed in range(5):
         rng = np.random.default_rng(200 + seed)
         source, index = make_problem(seed, n=60)
         pose = random_pose(rng)
         system = linearize(source, index, pose)
-        lean = _normal_equations(source, index, pose, 2.0)
-        scale = np.abs(system.h_global).max()
-        assert np.abs(lean.h - system.h_global).max() < 1e-12 * scale
-        assert np.allclose(lean.g, system.b_global, rtol=0.0, atol=1e-12 * scale)
-        assert lean.cost == pytest.approx(system.cost, rel=1e-12)
-        assert np.allclose(lean.weights, system.weights, rtol=1e-12, atol=0.0)
+        ref = whitened_reference(source, index, pose)
+        assert np.array_equal(system.correspondences, ref.ids)
+        scale = np.abs(ref.h).max()
+        assert np.abs(system.h_global - ref.h).max() < 1e-12 * scale
+        assert np.allclose(system.b_global, ref.g, rtol=0.0, atol=1e-12 * scale)
+        assert system.cost == pytest.approx(ref.cost, rel=1e-12)
+        assert np.allclose(system.weights, ref.weights, rtol=1e-12, atol=0.0)
         # Re-evaluating at the linearization pose gives its own cost, and at
-        # another pose the fixed-correspondence cost of matching_cost.
-        assert lean.cost_at(pose) == pytest.approx(lean.cost, rel=1e-12)
+        # another pose the reference's fixed-correspondence cost.
+        assert system.cost_at(pose) == pytest.approx(system.cost, rel=1e-12)
         other = left_update(pose, 0.01 * rng.normal(size=6))
-        expected = matching_cost(
+        expected = reference_cost_at(source, index, ref, other)
+        assert system.cost_at(other) == pytest.approx(expected, rel=1e-12)
+        assert matching_cost(
             source, index.cloud, system.correspondences, system.weights, other
-        )
-        assert lean.cost_at(other) == pytest.approx(expected, rel=1e-12)
+        ) == pytest.approx(expected, rel=1e-12)
+
+
+@st.composite
+def matching_problems(draw):
+    """Random points near their targets, SPD covariances and a pose.
+
+    Points come from a drawn seed so that nearest targets have no ties;
+    the covariances A A^T + eps I are drawn directly.
+    """
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tgt_pts = rng.uniform(-5, 5, size=(n, 3))
+    src_pts = tgt_pts + rng.normal(0.0, 0.05, size=(n, 3))
+
+    def spd():
+        a = draw(arrays(np.float64, (n, 3, 3), elements=st.floats(-1.0, 1.0)))
+        eps = draw(st.floats(0.05, 1.0))
+        return np.einsum("nij,nkj->nik", a, a) + eps * np.eye(3)
+
+    source = PointCloud(src_pts, spd())
+    index = SpatialIndex(PointCloud(tgt_pts, spd()))
+    rot = draw(arrays(np.float64, 3, elements=st.floats(-0.2, 0.2)))
+    trans = draw(arrays(np.float64, 3, elements=st.floats(-0.3, 0.3)))
+    return source, index, exp_twist(np.concatenate([rot, trans]))
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@PROPERTY_SETTINGS
+@given(matching_problems())
+def test_linearize_matches_whitened_reference(problem):
+    source, index, pose = problem
+    ref = whitened_reference(source, index, pose)
+    if not (ref.ids >= 0).any():
+        with pytest.raises(DegenerateLinearizationError):
+            linearize(source, index, pose)
+        return
+    system = linearize(source, index, pose)
+    assert np.array_equal(system.correspondences, ref.ids)
+    assert system.num_correspondences == len(ref.weights)
+    scale = np.abs(ref.h).max()
+    assert np.abs(system.h_global - ref.h).max() <= 1e-12 * scale
+    assert np.abs(system.b_global - ref.g).max() <= 1e-12 * max(np.abs(ref.g).max(), scale)
+    assert system.cost == pytest.approx(ref.cost, rel=1e-12)
+    w_scale = np.abs(ref.weights).max(axis=(1, 2))[:, None, None]
+    assert (np.abs(system.weights - ref.weights) <= 1e-12 * w_scale).all()
+
+
+@PROPERTY_SETTINGS
+@given(matching_problems())
+def test_local_hessians_sum_to_global_and_are_psd(problem):
+    source, index, pose = problem
+    try:
+        system = linearize(source, index, pose)
+    except DegenerateLinearizationError:
+        return
+    ref = whitened_reference(source, index, pose)
+    local = system.local_hessians
+    scale = np.abs(system.h_global).max()
+    assert np.abs(local.sum(axis=0) - system.h_global).max() <= 1e-12 * scale
+    assert np.abs(local - ref.local).max() <= 1e-12 * scale
+    matched = system.correspondences >= 0
+    assert np.array_equal(system.matched_hessians, local[matched])
+    assert not local[~matched].any()
+    for h in local[matched]:
+        assert np.linalg.eigvalsh(h)[0] >= -1e-12 * np.abs(h).max()
+
+
+@PROPERTY_SETTINGS
+@given(matching_problems(), arrays(np.float64, 6, elements=st.floats(-0.05, 0.05)))
+def test_cost_at_reevaluates_fixed_correspondences(problem, step):
+    source, index, pose = problem
+    try:
+        system = linearize(source, index, pose)
+    except DegenerateLinearizationError:
+        return
+    assert system.cost_at(pose) == pytest.approx(system.cost, rel=1e-12)
+    assert np.sum(system.residual_norms**2) == pytest.approx(system.cost, rel=1e-12)
+    other = left_update(pose, step)
+    ref = whitened_reference(source, index, pose)
+    expected = reference_cost_at(source, index, ref, other)
+    assert system.cost_at(other) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+    assert matching_cost(
+        source, index.cloud, system.correspondences, system.weights, other
+    ) == system.cost_at(other)
 
 
 def test_inverse_sym3_matches_linalg_inv():

@@ -354,3 +354,17 @@ def test_profile_csv_roundtrip(tmp_path):
         assert a.smvs.k_center == b.smvs.k_center
         assert np.allclose(a.pose.translation, b.pose.translation)
         assert np.allclose(a.pose.quat, b.pose.quat)
+
+
+def test_load_profile_csv_rejects_malformed_rows(tmp_path):
+    header = "frame_id,timestamp,smvs,k_center,tx,ty,tz,qx,qy,qz,qw\n"
+    good = "0,0.0,0.5,3,0.0,0.0,0.0,0.0,0.0,0.0,1.0\n"
+    path = tmp_path / "profile.csv"
+    path.write_text(header + good + "1,0.1,oops\n")
+    with pytest.raises(ParameterError, match=r"profile\.csv:3: expected 11 fields"):
+        load_profile_csv(path)
+    path.write_text(header + good + good.replace("0.5", "oops"))
+    with pytest.raises(ParameterError, match=r"profile\.csv:3: non-numeric"):
+        load_profile_csv(path)
+    path.write_text(header + good + "\n")
+    assert len(load_profile_csv(path)) == 1
