@@ -6,7 +6,6 @@ from .geometry import (
     SpatialIndex,
     azimuth_bin,
     estimate_covariances,
-    knn,
     voxel_downsample,
 )
 from .matching import LinearSystem, MatchResult, MatcherConfig, gauss_newton_align, linearize
@@ -39,7 +38,6 @@ __all__ = [
     "exp_twist",
     "framewise_smvs",
     "gauss_newton_align",
-    "knn",
     "linearize",
     "perturbed_clones",
     "pointwise_smvs",

@@ -11,12 +11,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .attacks import ATTACK_MODELS, AttackSpec, SpooferState, attack_dataset
-from .datasets import FrameDataset, load_dataset, save_dataset, write_manifest
+from .attacks import AttackSpec, SpooferState, attack_dataset
+from .datasets import FrameDataset, load_dataset, read_manifest, save_dataset, write_manifest
 from .errors import ParameterError, SmvslabError
-from .geometry import AzimuthBinning, PointCloud, load_xyz, save_xyz
+from .geometry import AzimuthBinning, load_xyz, save_xyz
 from .metrics import DEFAULT_BUCKET_EDGES, RunRecord, ape, bucket_report, rpe
-from .pipelines import PipelineConfig, build_prior_map, odometry_run, priormap_localize
+from .pipelines import build_prior_map, odometry_run, priormap_localize
 from .placement import choose_recommended, optimize_placement, save_placement
 from .se3 import PoseSE3
 from .simulate import SceneSpec, SensorModel, TrajectorySpec, build_scene, generate_dataset
@@ -30,41 +30,31 @@ ATTACK_FLAG_TO_MODEL = {
 }
 
 
-def _read_config_file(path) -> dict:
-    out = {}
-    with open(path, "r") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    return out
-
-
-def _apply_config_defaults(args, argv):
+def _apply_config_defaults(parser, args, argv):
     """Plain-text key=value config fills in anything the flags in `argv` left
     at default. A flag counts as given in full, as `--flag=value` or as an
-    abbreviation argparse accepted."""
-    if not getattr(args, "config", None):
-        return args
-    file_values = _read_config_file(args.config)
+    abbreviation argparse accepted. Values go through the flag's own type;
+    a key the subcommand does not define, or a value its flag rejects,
+    raises ParameterError naming the file."""
+    path = args.config
+    subcommands = next(a for a in parser._actions if a.dest == "command")
+    actions = {a.dest: a for a in subcommands.choices[args.command]._actions if a.option_strings}
     given = [a.split("=", 1)[0] for a in argv if a.startswith("--") and a != "--"]
-    for key, raw in file_values.items():
-        attr = key.replace("-", "_")
-        flag = "--" + attr.replace("_", "-")
-        if not hasattr(args, attr) or any(flag.startswith(g) for g in given):
-            continue
-        current = getattr(args, attr)
-        if isinstance(current, bool):
-            setattr(args, attr, raw.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(args, attr, int(raw))
-        elif isinstance(current, float):
-            setattr(args, attr, float(raw))
-        else:
-            setattr(args, attr, raw)
-    return args
+    for key, raw in read_manifest(path).items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None or action.dest in ("help", "config"):
+            raise ParameterError(f"{path}: unknown key {key!r} for {args.command}")
+        try:
+            if isinstance(action.default, bool):
+                value = raw.lower() in ("1", "true", "yes")
+            else:
+                value = action.type(raw) if action.type else raw
+        except ValueError:
+            raise ParameterError(f"{path}: bad value {raw!r} for {key}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ParameterError(f"{path}: bad value {raw!r} for {key}")
+        if not any(flag.startswith(g) for flag in action.option_strings for g in given):
+            setattr(args, action.dest, value)
 
 
 def _default_seed() -> int:
@@ -77,6 +67,14 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=None, help="RNG seed (SMVSLAB_SEED fallback)")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--config", default=None, help="key=value config file; flags win")
+
+
+def _add_course(p):
+    p.add_argument("--archetype", default="mixed",
+                   choices=["canyon", "open-wall", "mixed"])
+    p.add_argument("--length", type=float, default=48.0)
+    p.add_argument("--speed", type=float, default=6.0)
+    p.add_argument("--rate", type=float, default=10.0)
 
 
 def _add_sensor(p):
@@ -119,11 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scene", help="generate a synthetic dataset with ground truth")
     _add_common(p)
     _add_sensor(p)
-    p.add_argument("--archetype", default="mixed",
-                   choices=["canyon", "open-wall", "mixed"])
-    p.add_argument("--length", type=float, default=48.0)
-    p.add_argument("--speed", type=float, default=6.0)
-    p.add_argument("--rate", type=float, default=10.0)
+    _add_course(p)
 
     p = sub.add_parser("odom", help="scan-to-local-map odometry")
     _add_common(p)
@@ -172,11 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_smvs(p)
     _add_attack(p)
     _add_placement(p)
-    p.add_argument("--archetype", default="mixed",
-                   choices=["canyon", "open-wall", "mixed"])
-    p.add_argument("--length", type=float, default=48.0)
-    p.add_argument("--speed", type=float, default=6.0)
-    p.add_argument("--rate", type=float, default=10.0)
+    _add_course(p)
     p.add_argument("--pipeline", choices=["odometry", "priormap"], default="odometry")
     return parser
 
@@ -224,7 +214,7 @@ _PATH_ARGS = {
 def _manifest_from(args, seed) -> dict:
     # "seed" is skipped in favor of the resolved value (flag or env fallback);
     # "threads" is an execution detail that does not affect the results.
-    skip = _PATH_ARGS | {"command", "func", "seed", "threads"}
+    skip = _PATH_ARGS | {"command", "seed", "threads"}
     out = {"seed": seed, "command": args.command}
     for key, value in sorted(vars(args).items()):
         if key not in skip:
@@ -232,33 +222,61 @@ def _manifest_from(args, seed) -> dict:
     return out
 
 
-def _save_statuses(statuses, path):
-    with open(path, "w") as f:
-        f.write("frame_id,converged,iterations,error\n")
-        for s in statuses:
-            f.write(f"{s.frame_id},{int(s.converged)},{s.iterations},{s.error or ''}\n")
-
-
-def _cmd_scene(args, seed):
+def _simulate(args, seed) -> FrameDataset:
     scene = build_scene(SceneSpec(archetype=args.archetype, length=args.length))
     traj = TrajectorySpec(
         waypoints=((0.0, 0.0), (args.length, 0.0)),
         speed=args.speed,
         frame_rate=args.rate,
     )
-    ds = generate_dataset(scene, traj, _sensor_from(args), seed=seed)
-    save_dataset(ds, args.out, manifest=_manifest_from(args, seed))
-    return 0
+    return generate_dataset(scene, traj, _sensor_from(args), seed=seed)
+
+
+def _save_run(out, prefix, trajectory, statuses):
+    """Write `<prefix>trajectory.txt` and the per-frame `<prefix>frames.csv`."""
+    trajectory.save(os.path.join(out, prefix + "trajectory.txt"))
+    with open(os.path.join(out, prefix + "frames.csv"), "w") as f:
+        f.write("frame_id,converged,iterations,error\n")
+        for s in statuses:
+            f.write(f"{s.frame_id},{int(s.converged)},{s.iterations},{s.error or ''}\n")
+
+
+def _save_metrics(path, rows: dict):
+    with open(path, "w") as f:
+        f.write("metric,value\n")
+        for name, value in rows.items():
+            f.write(f"{name},{value!r}\n")
+
+
+def _localize(ds, pipeline, origin, prior):
+    """Run the chosen pipeline over `ds`, with poses in the world frame."""
+    if pipeline == "priormap":
+        return priormap_localize(ds, prior, init=origin)
+    est, statuses = odometry_run(ds)
+    # Odometry reports poses relative to its first frame; express them
+    # in the ground-truth world frame for downstream geometry.
+    return Trajectory(est.timestamps, [origin.compose(p) for p in est.poses]), statuses
+
+
+def _place(profile, args):
+    result = optimize_placement(profile, top_m=args.top_m, standoff=args.standoff)
+    save_placement(
+        result,
+        os.path.join(args.out, "placement.txt"),
+        os.path.join(args.out, "intersections.csv"),
+    )
+    return result
+
+
+def _cmd_scene(args, seed):
+    ds = _simulate(args, seed)
+    save_dataset(ds, args.out)
 
 
 def _cmd_odom(args, seed):
     ds = load_dataset(args.dataset)
     est, statuses = odometry_run(ds)
-    os.makedirs(args.out, exist_ok=True)
-    est.save(os.path.join(args.out, "trajectory.txt"))
-    _save_statuses(statuses, os.path.join(args.out, "frames.csv"))
-    write_manifest(os.path.join(args.out, "manifest.txt"), _manifest_from(args, seed))
-    return 0
+    _save_run(args.out, "", est, statuses)
 
 
 def _cmd_localize(args, seed):
@@ -270,11 +288,7 @@ def _cmd_localize(args, seed):
     elif ds.ground_truth is not None:
         init = ds.ground_truth.poses[0]
     est, statuses = priormap_localize(ds, prior, init=init)
-    os.makedirs(args.out, exist_ok=True)
-    est.save(os.path.join(args.out, "trajectory.txt"))
-    _save_statuses(statuses, os.path.join(args.out, "frames.csv"))
-    write_manifest(os.path.join(args.out, "manifest.txt"), _manifest_from(args, seed))
-    return 0
+    _save_run(args.out, "", est, statuses)
 
 
 def _cmd_smvs(args, seed):
@@ -286,25 +300,14 @@ def _cmd_smvs(args, seed):
     else:
         raise SmvslabError("no benign trajectory: pass --traj or provide groundtruth.txt")
     profile = trajectory_smvs(ds, benign, _smvs_cfg_from(args, seed))
-    os.makedirs(args.out, exist_ok=True)
     profile.save_csv(os.path.join(args.out, "smvs_profile.csv"))
-    write_manifest(os.path.join(args.out, "manifest.txt"), _manifest_from(args, seed))
-    return 0
 
 
 def _cmd_place(args, seed):
     profile = load_profile_csv(args.profile)
     if len(profile) < 2:
         raise SmvslabError("need >= 2 frames in the SMVS profile")
-    result = optimize_placement(profile, top_m=args.top_m, standoff=args.standoff)
-    os.makedirs(args.out, exist_ok=True)
-    save_placement(
-        result,
-        os.path.join(args.out, "placement.txt"),
-        os.path.join(args.out, "intersections.csv"),
-    )
-    write_manifest(os.path.join(args.out, "manifest.txt"), _manifest_from(args, seed))
-    return 0
+    _place(profile, args)
 
 
 def _cmd_attack(args, seed):
@@ -318,8 +321,7 @@ def _cmd_attack(args, seed):
     )
     spec = _attack_spec_from(args, seed)
     attacked = attack_dataset(ds, ds.ground_truth, spoofer, spec, _sensor_from(args))
-    save_dataset(attacked, args.out, manifest=_manifest_from(args, seed))
-    return 0
+    save_dataset(attacked, args.out)
 
 
 def _cmd_eval(args, seed):
@@ -327,24 +329,19 @@ def _cmd_eval(args, seed):
     ref = Trajectory.load(args.ref)
     stats = ape(est, ref, align_first_pose=not args.no_align)
     rel = rpe(est, ref, delta=args.rpe_delta)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "metrics.csv"), "w") as f:
-        f.write("metric,value\n")
-        f.write(f"ape_rmse_m,{stats.rmse!r}\n")
-        f.write(f"ape_mean_m,{stats.mean!r}\n")
-        f.write(f"ape_std_m,{stats.std!r}\n")
-        f.write(f"ape_max_m,{stats.max!r}\n")
-        f.write(f"ape_rot_rmse_deg,{stats.rot_rmse_deg!r}\n")
-        f.write(f"rpe_max_m,{rel.max!r}\n")
-        f.write(f"rpe_mean_m,{rel.mean!r}\n")
-        f.write(f"rpe_rot_max_deg,{rel.rot_max_deg!r}\n")
-    write_manifest(os.path.join(args.out, "manifest.txt"), _manifest_from(args, seed))
-    return 0
+    _save_metrics(os.path.join(args.out, "metrics.csv"), {
+        "ape_rmse_m": stats.rmse,
+        "ape_mean_m": stats.mean,
+        "ape_std_m": stats.std,
+        "ape_max_m": stats.max,
+        "ape_rot_rmse_deg": stats.rot_rmse_deg,
+        "rpe_max_m": rel.max,
+        "rpe_mean_m": rel.mean,
+        "rpe_rot_max_deg": rel.rot_max_deg,
+    })
 
 
 def _cmd_report(args, seed):
-    from .metrics import ApeStats
-
     runs = []
     with open(args.runs, "r") as f:
         f.readline()                                        # header
@@ -354,90 +351,53 @@ def _cmd_report(args, seed):
             parts = line.strip().split(",")
             if len(parts) != 4:
                 raise ParameterError(f"{args.runs}:{lineno}: expected 4 fields, got {len(parts)}")
-            model = parts[1]
             try:
                 smvs, ape_m, ape_deg = float(parts[0]), float(parts[2]), float(parts[3])
             except ValueError:
                 raise ParameterError(f"{args.runs}:{lineno}: non-numeric field") from None
-            stats = ApeStats(
-                rmse=ape_m, mean=ape_m, std=0.0, max=ape_m,
-                rot_rmse_deg=ape_deg, rot_mean_deg=ape_deg,
-                rot_max_deg=ape_deg, count=1,
-            )
-            runs.append(RunRecord(smvs=smvs, model=model, ape=stats))
+            runs.append(RunRecord(smvs=smvs, model=parts[1], ape_m=ape_m, ape_deg=ape_deg))
     edges = tuple(float(v) for v in args.edges.split(","))
     table = bucket_report(runs, edges)
-    os.makedirs(args.out, exist_ok=True)
     table.save_csv(os.path.join(args.out, "bucket_table.csv"))
-    write_manifest(os.path.join(args.out, "manifest.txt"), _manifest_from(args, seed))
-    return 0
 
 
 def _cmd_pipeline(args, seed):
     out = args.out
-    os.makedirs(out, exist_ok=True)
-
-    scene = build_scene(SceneSpec(archetype=args.archetype, length=args.length))
-    traj_spec = TrajectorySpec(
-        waypoints=((0.0, 0.0), (args.length, 0.0)),
-        speed=args.speed,
-        frame_rate=args.rate,
-    )
-    sensor = _sensor_from(args)
-    ds = generate_dataset(scene, traj_spec, sensor, seed=seed)
+    ds = _simulate(args, seed)
     save_dataset(ds, os.path.join(out, "dataset"))
 
     gt = ds.ground_truth
     origin = gt.poses[0]
-    if args.pipeline == "odometry":
-        benign, statuses = odometry_run(ds)
-        # Odometry reports poses relative to its first frame; express them
-        # in the ground-truth world frame for downstream geometry.
-        benign = Trajectory(
-            benign.timestamps, [origin.compose(p) for p in benign.poses]
-        )
-    else:
+    prior = None
+    if args.pipeline == "priormap":
         prior = build_prior_map(ds, gt)
         save_xyz(prior, os.path.join(out, "prior_map.xyz"))
-        benign, statuses = priormap_localize(ds, prior, init=origin)
-    benign.save(os.path.join(out, "benign_trajectory.txt"))
-    _save_statuses(statuses, os.path.join(out, "benign_frames.csv"))
+    benign, statuses = _localize(ds, args.pipeline, origin, prior)
+    _save_run(out, "benign_", benign, statuses)
 
     profile = trajectory_smvs(ds, benign, _smvs_cfg_from(args, seed))
     profile.save_csv(os.path.join(out, "smvs_profile.csv"))
 
-    placement = optimize_placement(profile, top_m=args.top_m, standoff=args.standoff)
-    save_placement(
-        placement,
-        os.path.join(out, "placement.txt"),
-        os.path.join(out, "intersections.csv"),
-    )
-    position = choose_recommended(placement, profile, args.top_m)
-
+    placement = _place(profile, args)
+    position = choose_recommended(placement, profile)
     spoofer = SpooferState(
         (float(position[0]), float(position[1])), max_range=args.spoofer_range
     )
     spec = _attack_spec_from(args, seed)
-    attacked = attack_dataset(ds, gt, spoofer, spec, sensor)
+    attacked = attack_dataset(ds, gt, spoofer, spec, _sensor_from(args))
     save_dataset(attacked, os.path.join(out, "attacked_dataset"))
 
-    if args.pipeline == "odometry":
-        est, atk_statuses = odometry_run(attacked)
-        est = Trajectory(est.timestamps, [origin.compose(p) for p in est.poses])
-    else:
-        prior = load_xyz(os.path.join(out, "prior_map.xyz"))
-        est, atk_statuses = priormap_localize(attacked, prior, init=origin)
-    est.save(os.path.join(out, "attacked_trajectory.txt"))
-    _save_statuses(atk_statuses, os.path.join(out, "attacked_frames.csv"))
+    est, statuses = _localize(attacked, args.pipeline, origin, prior)
+    _save_run(out, "attacked_", est, statuses)
 
     stats = ape(est, gt)
     rel = rpe(est, gt)
-    with open(os.path.join(out, "metrics.csv"), "w") as f:
-        f.write("metric,value\n")
-        f.write(f"ape_rmse_m,{stats.rmse!r}\n")
-        f.write(f"ape_max_m,{stats.max!r}\n")
-        f.write(f"ape_rot_rmse_deg,{stats.rot_rmse_deg!r}\n")
-        f.write(f"rpe_max_m,{rel.max!r}\n")
+    _save_metrics(os.path.join(out, "metrics.csv"), {
+        "ape_rmse_m": stats.rmse,
+        "ape_max_m": stats.max,
+        "ape_rot_rmse_deg": stats.rot_rmse_deg,
+        "rpe_max_m": rel.max,
+    })
 
     attacked_idx = [
         i for i, p in enumerate(gt.poses)
@@ -453,13 +413,10 @@ def _cmd_pipeline(args, seed):
     with open(os.path.join(out, "runs.csv"), "w") as f:
         f.write("smvs,model,ape_m,ape_deg\n")
         f.write(f"{segment_smvs!r},{spec.model},{stats.rmse!r},{stats.rot_rmse_deg!r}\n")
-    table = bucket_report(
-        [RunRecord(smvs=segment_smvs, model=spec.model, ape=stats)]
-    )
+    table = bucket_report([
+        RunRecord(smvs=segment_smvs, model=spec.model, ape_m=stats.rmse, ape_deg=stats.rot_rmse_deg)
+    ])
     table.save_csv(os.path.join(out, "bucket_table.csv"))
-
-    write_manifest(os.path.join(out, "manifest.txt"), _manifest_from(args, seed))
-    return 0
 
 
 _COMMANDS = {
@@ -476,15 +433,21 @@ _COMMANDS = {
 
 
 def dispatch(argv=None) -> int:
+    """Run one subcommand; on success its `--out` also gets manifest.txt."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
-    args = _apply_config_defaults(args, argv)
-    seed = args.seed if args.seed is not None else _default_seed()
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, seed)
+        if args.config:
+            _apply_config_defaults(parser, args, argv)
+        seed = args.seed if args.seed is not None else _default_seed()
+        os.makedirs(args.out, exist_ok=True)
+        _COMMANDS[args.command](args, seed)
     except SmvslabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    write_manifest(os.path.join(args.out, "manifest.txt"), _manifest_from(args, seed))
+    return 0
 
 
 def main():

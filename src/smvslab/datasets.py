@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 
 from .errors import ParameterError
-from .geometry import PointCloud, load_xyz, save_xyz
+from .geometry import load_xyz, save_xyz
 from .trajectory import Trajectory
 
 
@@ -34,25 +34,26 @@ def write_manifest(path, params: dict):
 
 
 def read_manifest(path) -> dict:
+    """key=value lines, keys and values stripped; blank and '#' lines skipped."""
     out = {}
     with open(path, "r") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            out[key] = value
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ParameterError(f"{path}:{lineno}: expected key=value")
+            out[key.strip()] = value.strip()
     return out
 
 
-def save_dataset(dataset: FrameDataset, out_dir, manifest: dict | None = None):
+def save_dataset(dataset: FrameDataset, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     for i, frame in enumerate(dataset.frames):
         save_xyz(frame, os.path.join(out_dir, f"{i:06d}.xyz"))
     if dataset.ground_truth is not None:
         dataset.ground_truth.save(os.path.join(out_dir, "groundtruth.txt"))
-    if manifest is not None:
-        write_manifest(os.path.join(out_dir, "manifest.txt"), manifest)
 
 
 def load_dataset(in_dir) -> FrameDataset:

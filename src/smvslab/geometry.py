@@ -162,32 +162,6 @@ class LazyCovarianceIndex(SpatialIndex):
             return self._covs[ids]
 
 
-def knn(index: SpatialIndex, query, k: int):
-    """k nearest neighbors of a single query point.
-
-    Returns min(k, N) pairs (point id, distance) sorted by ascending
-    distance, ties broken by ascending id.
-    """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    if len(index) == 0:
-        raise QueryError("knn on an empty index")
-    n = len(index)
-    m = min(k, n)
-    # Expand until the cut-off distance is strictly below the next one, so
-    # id tie-breaking cannot depend on kd-tree internals.
-    take = m
-    while True:
-        probe = min(take + 1, n)
-        d, i = index.query(np.asarray(query, dtype=np.float64).reshape(1, 3), k=probe)
-        d, i = d[0], i[0]
-        if probe == n or d[take - 1] < d[take]:
-            break
-        take = min(take * 2, n)
-    order = np.lexsort((i[:probe], d[:probe]))[:m]
-    return [(int(i[j]), float(d[j])) for j in order]
-
-
 def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     """One centroid per occupied voxel; output ordered by voxel key."""
     if voxel <= 0:
@@ -259,13 +233,6 @@ def estimate_covariances(cloud: PointCloud, k: int = 20, epsilon: float = 1e-3) 
     _check_neighbor_count(cloud, k)
     raw = _neighbor_covariances(SpatialIndex(cloud), slice(None), k)
     return cloud.with_covariances(_regularize(raw, epsilon))
-
-
-def raw_neighbor_covariances(cloud: PointCloud, k: int) -> np.ndarray:
-    """Unregularized k-NN sample covariances (exposed for verification)."""
-    if len(cloud) < k:
-        raise ParameterError(f"cloud has {len(cloud)} points, need >= {k}")
-    return _neighbor_covariances(SpatialIndex(cloud), slice(None), k)
 
 
 def azimuth(p) -> float:

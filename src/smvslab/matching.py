@@ -74,16 +74,6 @@ class LinearSystem:
         out[self.correspondences >= 0] = self.matched_hessians
         return out
 
-    @cached_property
-    def residual_norms(self) -> np.ndarray:
-        """(N,) whitened residual norms sqrt(d^T W d); zero for unmatched points."""
-        d = self.target_points - self.pose.apply(self.source_points)
-        out = np.zeros(len(self.correspondences))
-        out[self.correspondences >= 0] = np.sqrt(
-            np.einsum("ni,ni->n", d, np.einsum("nij,nj->ni", self.weights, d))
-        )
-        return out
-
 
 @dataclass
 class MatchResult:

@@ -50,35 +50,17 @@ def _stats(values: np.ndarray):
     return rmse, float(values.mean()), float(values.std()), float(values.max())
 
 
-def ape(
-    est: Trajectory,
-    ref: Trajectory,
-    align_first_pose: bool = True,
-    association: str = "timestamp",
-) -> ApeStats:
-    """Absolute pose error between two trajectories.
+def ape(est: Trajectory, ref: Trajectory, align_first_pose: bool = True) -> ApeStats:
+    """Absolute pose error between two trajectories, paired by timestamp.
 
     With align_first_pose the estimate is rigidly moved so its first
-    associated pose coincides with the reference one. association
-    "nearest" instead scores each estimated position against the nearest
-    reference position regardless of time.
+    associated pose coincides with the reference one.
     """
-    if association == "timestamp":
-        pairs = _associate(est, ref)
-        if not pairs:
-            raise ParameterError("no timestamp associations between trajectories")
-        est_poses = [est.poses[i] for i, _ in pairs]
-        ref_poses = [ref.poses[j] for _, j in pairs]
-    elif association == "nearest":
-        ref_pos = ref.positions()
-        est_poses = list(est.poses)
-        idx = [
-            int(np.argmin(np.linalg.norm(ref_pos - p.translation, axis=1)))
-            for p in est_poses
-        ]
-        ref_poses = [ref.poses[j] for j in idx]
-    else:
-        raise ParameterError(f"unknown association mode {association!r}")
+    pairs = _associate(est, ref)
+    if not pairs:
+        raise ParameterError("no timestamp associations between trajectories")
+    est_poses = [est.poses[i] for i, _ in pairs]
+    ref_poses = [ref.poses[j] for _, j in pairs]
 
     if align_first_pose:
         correction = ref_poses[0].compose(est_poses[0].inverse())
@@ -138,7 +120,8 @@ DEFAULT_BUCKET_EDGES = (-10000.0, -6000.0, -3000.0, -1000.0)
 class RunRecord:
     smvs: float
     model: str
-    ape: ApeStats
+    ape_m: float                    # APE translation RMSE
+    ape_deg: float                  # APE rotation RMSE
 
 
 @dataclass
@@ -209,8 +192,8 @@ def bucket_report(runs: list[RunRecord], edges=DEFAULT_BUCKET_EDGES) -> BucketTa
     for run in runs:
         groups.setdefault((bucket_index(run.smvs, edges), run.model), []).append(run)
     for key, members in groups.items():
-        m = np.array([r.ape.rmse for r in members])
-        d = np.array([r.ape.rot_rmse_deg for r in members])
+        m = np.array([r.ape_m for r in members])
+        d = np.array([r.ape_deg for r in members])
         table.cells[key] = BucketCell(
             mean_m=float(m.mean()),
             std_m=float(m.std()),

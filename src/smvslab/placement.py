@@ -74,22 +74,18 @@ def intersect_halflines(lines: list[HalfLine2D]) -> np.ndarray:
     """All pairwise intersections lying forward of both origins."""
     if len(lines) < 2:
         raise ParameterError("need at least 2 half-lines")
-    points = []
-    for a in range(len(lines)):
-        for b in range(a + 1, len(lines)):
-            o1 = np.asarray(lines[a].origin)
-            d1 = np.asarray(lines[a].direction)
-            o2 = np.asarray(lines[b].origin)
-            d2 = np.asarray(lines[b].direction)
-            cross = d1[0] * d2[1] - d1[1] * d2[0]
-            if abs(cross) < 1e-9:
-                continue
-            diff = o2 - o1
-            t1 = (diff[0] * d2[1] - diff[1] * d2[0]) / cross
-            t2 = (diff[0] * d1[1] - diff[1] * d1[0]) / cross
-            if t1 >= 0 and t2 >= 0:
-                points.append(o1 + t1 * d1)
-    return np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    origins = np.array([l.origin for l in lines], dtype=np.float64)
+    directions = np.array([l.direction for l in lines], dtype=np.float64)
+    a, b = np.triu_indices(len(lines), k=1)         # pairs a < b, row-major order
+    o1, d1 = origins[a], directions[a]
+    o2, d2 = origins[b], directions[b]
+    cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    diff = o2 - o1
+    with np.errstate(divide="ignore", invalid="ignore"):   # parallel pairs
+        t1 = (diff[:, 0] * d2[:, 1] - diff[:, 1] * d2[:, 0]) / cross
+        t2 = (diff[:, 0] * d1[:, 1] - diff[:, 1] * d1[:, 0]) / cross
+    forward = (np.abs(cross) >= 1e-9) & (t1 >= 0) & (t2 >= 0)
+    return o1[forward] + t1[forward, None] * d1[forward]
 
 
 def filter_outliers(points) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -208,7 +204,7 @@ def optimize_placement(
     )
 
 
-def choose_recommended(result: PlacementResult, profile: SmvsProfile, top_m: int = 10) -> np.ndarray:
+def choose_recommended(result: PlacementResult, profile: SmvsProfile) -> np.ndarray:
     """Pick the candidate on the same side as the intersection cluster."""
     side = (result.center - result.line_intersection) @ result.placement_direction
     return result.recommended[0] if side >= 0 else result.recommended[1]

@@ -42,11 +42,6 @@ class PoseSE3:
         return cls((0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0))
 
     @classmethod
-    def from_rotation_translation(cls, rotation, translation) -> "PoseSE3":
-        q = Rotation.from_matrix(np.asarray(rotation, dtype=np.float64)).as_quat()
-        return cls(q, translation)
-
-    @classmethod
     def from_rpy(cls, roll, pitch, yaw, translation=(0.0, 0.0, 0.0)) -> "PoseSE3":
         q = Rotation.from_euler("xyz", [roll, pitch, yaw]).as_quat()
         return cls(q, translation)

@@ -4,7 +4,7 @@ generation with exact ground truth."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +87,7 @@ class SceneSpec:
     patches: tuple[Patch, ...] = ()
 
 
-def _wall_x_span(x0, x1, y, height, facing_unused=None) -> Patch:
+def _wall_x_span(x0, x1, y, height) -> Patch:
     """Vertical wall along x at fixed y."""
     return Patch((x0, y, 0.0), (x1 - x0, 0.0, 0.0), (0.0, 0.0, height))
 
@@ -103,19 +103,6 @@ def canyon_patches(length, width, height, x0=0.0) -> list[Patch]:
         _wall_x_span(x0, x0 + length, -half, height),
         _wall_x_span(x0, x0 + length, half, height),
     ]
-
-
-def canyon_stub_patches(length, width, height, x0=0.0, spacing=8.0, depth=1.0) -> list[Patch]:
-    """Short cross walls jutting inward from both canyon walls; they break
-    the along-corridor degeneracy of a bare two-wall canyon."""
-    half = width / 2.0
-    patches = []
-    x = x0 + spacing
-    while x < x0 + length:
-        patches.append(_wall_y_span(half - depth, half, x, height))
-        patches.append(_wall_y_span(-half, -half + depth, x, height))
-        x += spacing
-    return patches
 
 
 def staggered_stub_patches(positions, width, height, depth=1.5) -> list[Patch]:
@@ -138,14 +125,6 @@ def open_corner_patches(x0, x1, y, height, return_depth=8.0) -> list[Patch]:
     return [
         _wall_x_span(x0, x1, y, height),
         _wall_y_span(y, y + return_depth, x1, height),
-    ]
-
-
-def divider_patches(x, gap_half, half_width, height) -> list[Patch]:
-    """Transverse wall with a central gap the vehicle drives through."""
-    return [
-        _wall_y_span(-half_width, -gap_half, x, height),
-        _wall_y_span(gap_half, half_width, x, height),
     ]
 
 

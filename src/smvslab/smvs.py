@@ -186,11 +186,6 @@ def pointwise_smvs(
     )
 
 
-def circular_distance(k: int, k_center: int, n: int) -> int:
-    delta = abs(k_center - k)
-    return min(delta, n - delta)
-
-
 def framewise_smvs(
     imp: ImportanceCloud,
     frame: PointCloud,
@@ -260,28 +255,20 @@ def trajectory_smvs(
         raise ParameterError("dataset and trajectory lengths differ")
 
     def work(i):
-        return analyze_frame(dataset.frames[i], i, cfg)
+        try:
+            return analyze_frame(dataset.frames[i], i, cfg)
+        except AnalysisError as exc:
+            return exc
 
-    results: dict[int, object] = {}
     if cfg.threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = {pool.submit(work, i): i for i in range(len(dataset))}
-            for fut, i in futures.items():
-                try:
-                    results[i] = fut.result()
-                except AnalysisError as exc:
-                    results[i] = exc
+            results = list(pool.map(work, range(len(dataset))))
     else:
-        for i in range(len(dataset)):
-            try:
-                results[i] = work(i)
-            except AnalysisError as exc:
-                results[i] = exc
+        results = [work(i) for i in range(len(dataset))]
 
     entries = []
     skipped = []
-    for i in range(len(dataset)):
-        res = results[i]
+    for i, res in enumerate(results):
         if isinstance(res, AnalysisError):
             skipped.append((i, str(res)))
             continue

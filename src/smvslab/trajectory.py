@@ -51,7 +51,16 @@ class Trajectory:
                 parts = line.split()
                 if len(parts) != 8:
                     raise ParameterError(f"{path}:{lineno}: expected 8 fields")
-                vals = [float(v) for v in parts]
+                try:
+                    vals = [float(v) for v in parts]
+                except ValueError:
+                    raise ParameterError(f"{path}:{lineno}: non-numeric field") from None
+                if not np.isfinite(vals).all():
+                    raise ParameterError(f"{path}:{lineno}: non-finite field")
+                try:
+                    pose = PoseSE3(vals[4:8], vals[1:4])
+                except ParameterError as exc:
+                    raise ParameterError(f"{path}:{lineno}: {exc}") from None
                 ts.append(vals[0])
-                poses.append(PoseSE3(vals[4:8], vals[1:4]))
+                poses.append(pose)
         return cls(ts, poses)

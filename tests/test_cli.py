@@ -1,4 +1,5 @@
 import filecmp
+import math
 
 import pytest
 
@@ -206,3 +207,50 @@ def test_config_file_fills_defaults(tmp_path):
     ) == 0
     assert run(scene_args(b)) == 0
     assert trees_equal(a, b)
+
+
+def test_config_file_rejects_bad_lines(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    for bad in ("rings=four\n", "rings 4\n", "ringz=4\n"):
+        cfg.write_text(bad)
+        out = tmp_path / "scene"
+        assert run(["scene", "--out", str(out), "--config", str(cfg)] + SHORT_COURSE) == 1
+        assert str(cfg) in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("pipeline", ["odometry", "priormap"])
+def test_pipeline_writes_full_tree(tmp_path, pipeline):
+    out = tmp_path / "run"
+    assert run(
+        ["pipeline", "--out", str(out), "--seed", "9", "--pipeline", pipeline,
+         "--archetype", "mixed", "--top-m", "5"]
+        + SHORT_COURSE
+        + FAST_SENSOR
+    ) == 0
+    expected = {
+        "dataset", "attacked_dataset", "benign_trajectory.txt", "benign_frames.csv",
+        "attacked_trajectory.txt", "attacked_frames.csv", "smvs_profile.csv",
+        "placement.txt", "intersections.csv", "metrics.csv", "runs.csv",
+        "bucket_table.csv", "manifest.txt",
+    }
+    if pipeline == "priormap":
+        expected.add("prior_map.xyz")
+    assert {p.name for p in out.iterdir()} == expected
+    frames = [f"{i:06d}.xyz" for i in range(20)]
+    for name in ("dataset", "attacked_dataset"):
+        assert sorted(p.name for p in (out / name).iterdir()) == frames + ["groundtruth.txt"]
+    for run_name in ("benign", "attacked"):
+        assert len(Trajectory.load(out / f"{run_name}_trajectory.txt")) == 20
+        rows = (out / f"{run_name}_frames.csv").read_text().strip().splitlines()
+        assert rows[0] == "frame_id,converged,iterations,error"
+        assert [r.split(",")[0] for r in rows[1:]] == [str(i) for i in range(20)]
+    runs = (out / "runs.csv").read_text().strip().splitlines()
+    assert runs[0] == "smvs,model,ape_m,ape_deg" and len(runs) == 2
+    smvs, model, ape_m, ape_deg = runs[1].split(",")
+    assert model == "removal_noise"
+    assert all(math.isfinite(float(v)) for v in (smvs, ape_m, ape_deg))
+    metrics = (out / "metrics.csv").read_text().strip().splitlines()
+    assert [m.split(",")[0] for m in metrics] == [
+        "metric", "ape_rmse_m", "ape_max_m", "ape_rot_rmse_deg", "rpe_max_m",
+    ]

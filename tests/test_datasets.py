@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ def sample_dataset(n=3):
 
 def test_dataset_roundtrip(tmp_path):
     ds = sample_dataset()
-    save_dataset(ds, tmp_path, manifest={"seed": 7, "note": "x"})
+    save_dataset(ds, tmp_path)
     back = load_dataset(tmp_path)
     assert len(back) == len(ds)
     for a, b in zip(back.frames, ds.frames):
@@ -94,3 +96,8 @@ def test_trajectory_load_validates_fields(tmp_path):
     path.write_text("0.0 1 2 3 0 0 0\n")
     with pytest.raises(ParameterError, match=":1"):
         Trajectory.load(path)
+    good = "0.0 1 2 3 0 0 0 1\n"
+    for bad in ("0.1 1 two 3 0 0 0 1\n", "0.1 nan 2 3 0 0 0 1\n", "0.1 1 2 3 0 0 0 2\n"):
+        path.write_text(good + bad)
+        with pytest.raises(ParameterError, match=re.escape(f"{path}:2:")):
+            Trajectory.load(path)

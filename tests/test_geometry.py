@@ -14,9 +14,7 @@ from smvslab.geometry import (
     azimuth_bins,
     bin_center_angle,
     estimate_covariances,
-    knn,
     load_xyz,
-    raw_neighbor_covariances,
     save_xyz,
     voxel_dedup,
     voxel_downsample,
@@ -79,41 +77,10 @@ def test_azimuth_binning_validation():
     assert AzimuthBinning(72).bin_width == pytest.approx(2 * math.pi / 72)
 
 
-def test_knn_matches_bruteforce():
-    rng = np.random.default_rng(1)
-    pts = rng.normal(size=(60, 3))
-    index = SpatialIndex(PointCloud(pts))
-    query = rng.normal(size=3)
-    got = knn(index, query, 7)
-    dist = np.linalg.norm(pts - query, axis=1)
-    order = np.lexsort((np.arange(len(pts)), dist))[:7]
-    assert [i for i, _ in got] == list(order)
-    for (_, d), j in zip(got, order):
-        assert d == pytest.approx(dist[j])
-
-
-def test_knn_tie_break_by_id():
-    # Four points equidistant from the origin; ids must come back ascending.
-    pts = np.array(
-        [[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0], [0, -1.0, 0], [5.0, 5.0, 5.0]]
-    )
-    index = SpatialIndex(PointCloud(pts))
-    got = knn(index, (0.0, 0.0, 0.0), 3)
-    assert [i for i, _ in got] == [0, 1, 2]
-
-
-def test_knn_k_larger_than_cloud():
-    pts = np.arange(9.0).reshape(3, 3)
-    index = SpatialIndex(PointCloud(pts))
-    assert len(knn(index, (0.0, 0.0, 0.0), 10)) == 3
-
-
-def test_knn_empty_index_raises():
+def test_query_empty_index_raises():
     index = SpatialIndex(PointCloud(np.empty((0, 3))))
     with pytest.raises(QueryError):
-        knn(index, (0.0, 0.0, 0.0), 1)
-    with pytest.raises(ParameterError):
-        knn(SpatialIndex(PointCloud([[0.0, 0.0, 0.0]])), (0.0, 0.0, 0.0), 0)
+        index.query((0.0, 0.0, 0.0), k=1)
 
 
 def test_voxel_downsample_centroids():
@@ -182,10 +149,12 @@ def test_estimate_covariances_plane_normal():
 def test_estimate_covariances_eigvectors_from_raw():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(40, 3)) * [3.0, 1.0, 0.2]
-    raw = raw_neighbor_covariances(PointCloud(pts), k=8)
     out = estimate_covariances(PointCloud(pts), k=8, epsilon=1e-2)
     for i in range(len(pts)):
-        _, v_raw = np.linalg.eigh(raw[i])
+        # Brute-force sample covariance of the 8 nearest points (itself included).
+        nbrs = pts[np.argsort(np.linalg.norm(pts - pts[i], axis=1))[:8]]
+        centered = nbrs - nbrs.mean(axis=0)
+        _, v_raw = np.linalg.eigh(centered.T @ centered / 7)
         w, v = np.linalg.eigh(out.covariances[i])
         # Same eigenframe: the raw smallest direction carries epsilon.
         assert abs(v_raw[:, 0] @ v[:, 0]) == pytest.approx(1.0, abs=1e-6)

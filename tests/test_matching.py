@@ -103,12 +103,6 @@ def test_cost_matches_mahalanobis_definition():
     assert total == pytest.approx(system.cost, rel=1e-9)
 
 
-def test_residual_norms_squared_sum_to_cost():
-    source, index = make_problem(5)
-    system = linearize(source, index, PoseSE3.identity())
-    assert np.sum(system.residual_norms**2) == pytest.approx(system.cost, rel=1e-9)
-
-
 def test_permutation_invariance():
     source, index = make_problem(6)
     system = linearize(source, index, PoseSE3.identity())
@@ -129,7 +123,6 @@ def test_unmatched_points_have_empty_rows():
     system = linearize(source, SpatialIndex(target), PoseSE3.identity(), 2.0)
     assert system.correspondences[1] == -1
     assert np.all(system.local_hessians[1] == 0.0)
-    assert system.residual_norms[1] == 0.0
     assert system.num_correspondences == 1
 
 
@@ -354,7 +347,6 @@ def test_cost_at_reevaluates_fixed_correspondences(problem, step):
     except DegenerateLinearizationError:
         return
     assert system.cost_at(pose) == pytest.approx(system.cost, rel=1e-12)
-    assert np.sum(system.residual_norms**2) == pytest.approx(system.cost, rel=1e-12)
     other = left_update(pose, step)
     ref = whitened_reference(source, index, pose)
     expected = reference_cost_at(source, index, ref, other)

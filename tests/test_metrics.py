@@ -5,7 +5,6 @@ import pytest
 
 from smvslab.errors import ParameterError
 from smvslab.metrics import (
-    ApeStats,
     DEFAULT_BUCKET_EDGES,
     RunRecord,
     ape,
@@ -65,16 +64,12 @@ def test_ape_first_pose_alignment_removes_rigid_offset():
     assert stats.rmse == pytest.approx(0.0, abs=1e-9)
 
 
-def test_ape_nearest_association():
+def test_ape_requires_timestamp_associations():
     ref = random_trajectory(4)
-    # Shift timestamps so timestamp association would fail.
+    # Shift timestamps so that no pose associates.
     est = Trajectory(np.asarray(ref.timestamps) + 1000.0, list(ref.poses))
     with pytest.raises(ParameterError):
-        ape(est, ref, association="timestamp")
-    stats = ape(est, ref, align_first_pose=False, association="nearest")
-    assert stats.rmse == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ParameterError):
-        ape(est, ref, association="bogus")
+        ape(est, ref)
 
 
 def test_rpe_matches_direct_recomputation():
@@ -123,18 +118,11 @@ def test_bucket_index_edges():
     assert bucket_index(100.0, edges) == 3
 
 
-def make_stats(m):
-    return ApeStats(
-        rmse=m, mean=m, std=0.0, max=m,
-        rot_rmse_deg=1.0, rot_mean_deg=1.0, rot_max_deg=1.0, count=1,
-    )
-
-
 def test_bucket_report_totals_and_cells():
     runs = [
-        RunRecord(smvs=-9000.0, model="removal_noise", ape=make_stats(4.0)),
-        RunRecord(smvs=-9500.0, model="removal_noise", ape=make_stats(6.0)),
-        RunRecord(smvs=-500.0, model="injection", ape=make_stats(0.5)),
+        RunRecord(smvs=-9000.0, model="removal_noise", ape_m=4.0, ape_deg=1.0),
+        RunRecord(smvs=-9500.0, model="removal_noise", ape_m=6.0, ape_deg=1.0),
+        RunRecord(smvs=-500.0, model="injection", ape_m=0.5, ape_deg=1.0),
     ]
     table = bucket_report(runs)
     assert table.total_runs() == 3
@@ -146,7 +134,7 @@ def test_bucket_report_totals_and_cells():
 
 
 def test_bucket_table_csv_has_na_for_empty_cells(tmp_path):
-    runs = [RunRecord(smvs=-9000.0, model="removal_noise", ape=make_stats(1.0))]
+    runs = [RunRecord(smvs=-9000.0, model="removal_noise", ape_m=1.0, ape_deg=1.0)]
     table = bucket_report(runs)
     path = tmp_path / "table.csv"
     table.save_csv(path)

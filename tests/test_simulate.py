@@ -15,8 +15,6 @@ from smvslab.simulate import (
     _polyline_poses,
     build_scene,
     canyon_patches,
-    canyon_stub_patches,
-    divider_patches,
     generate_dataset,
     mixed_course_scene,
     open_corner_patches,
@@ -82,9 +80,7 @@ def test_archetype_scenes_build():
 
 def test_scene_helpers_patch_counts():
     assert len(canyon_patches(50, 12, 5)) == 2
-    assert len(canyon_stub_patches(50, 12, 5, spacing=8.0)) == 12
     assert len(open_corner_patches(0, 20, -10, 5)) == 2
-    assert len(divider_patches(45, 1.5, 10, 5)) == 2
     assert mixed_course_scene().ground
 
 

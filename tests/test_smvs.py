@@ -14,7 +14,6 @@ from smvslab.smvs import (
     CloneParams,
     ImportanceCloud,
     SmvsConfig,
-    circular_distance,
     frame_seed,
     framewise_smvs,
     load_profile_csv,
@@ -282,13 +281,6 @@ def test_framewise_all_z_axis_raises():
     cloud = PointCloud([[0.0, 0.0, 1.0], [0.0, 0.0, -2.0]])
     with pytest.raises(AnalysisError):
         framewise_smvs(imp, cloud)
-
-
-def test_circular_distance_symmetric_and_wrapped():
-    assert circular_distance(0, 71, 72) == 1
-    assert circular_distance(71, 0, 72) == 1
-    assert circular_distance(0, 36, 72) == 36
-    assert circular_distance(5, 5, 72) == 0
 
 
 # ---------------------------------------------------------------- trajectory
