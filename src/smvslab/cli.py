@@ -8,10 +8,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .attacks import AttackSpec, SpooferState, attack_dataset
+from .attacks import AttackSpec, SpooferState, attack_dataset, spoof_window
 from .datasets import FrameDataset, load_dataset, read_manifest, save_dataset, write_manifest
 from .errors import ParameterError, SmvslabError
 from .geometry import AzimuthBinning, load_xyz, save_xyz
@@ -59,13 +57,15 @@ def _apply_config_defaults(parser, args, argv):
 
 def _default_seed() -> int:
     env = os.environ.get("SMVSLAB_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ParameterError(f"SMVSLAB_SEED={env!r} is not an integer") from None
 
 
 def _add_common(p):
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (SMVSLAB_SEED fallback)")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--config", default=None, help="key=value config file; flags win")
 
 
@@ -86,6 +86,7 @@ def _add_sensor(p):
 
 
 def _add_smvs(p):
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--n-regions", type=int, default=72)
     p.add_argument("--d-th", type=int, default=8)
     p.add_argument("--clone-sigma", type=float, default=0.01)
@@ -399,15 +400,12 @@ def _cmd_pipeline(args, seed):
         "rpe_max_m": rel.max,
     })
 
-    attacked_idx = [
+    attacked_ids = {
         i for i, p in enumerate(gt.poses)
-        if np.hypot(
-            p.translation[0] - spoofer.position[0],
-            p.translation[1] - spoofer.position[1],
-        ) <= spoofer.max_range
-    ]
+        if spoof_window(p, spoofer, spec.half_width) is not None
+    }
     segment_smvs = max(
-        (e.smvs.value for e in profile.entries if e.frame_id in set(attacked_idx)),
+        (e.smvs.value for e in profile.entries if e.frame_id in attacked_ids),
         default=float("nan"),
     )
     with open(os.path.join(out, "runs.csv"), "w") as f:
@@ -443,7 +441,7 @@ def dispatch(argv=None) -> int:
         seed = args.seed if args.seed is not None else _default_seed()
         os.makedirs(args.out, exist_ok=True)
         _COMMANDS[args.command](args, seed)
-    except SmvslabError as exc:
+    except (SmvslabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     write_manifest(os.path.join(args.out, "manifest.txt"), _manifest_from(args, seed))

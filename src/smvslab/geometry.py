@@ -61,15 +61,6 @@ class PointCloud:
     def with_covariances(self, covariances) -> "PointCloud":
         return PointCloud(self.points, covariances)
 
-    def transformed(self, rotation, translation) -> "PointCloud":
-        """Apply p -> R p + t; covariances are conjugated by R."""
-        rotation = np.asarray(rotation, dtype=np.float64)
-        pts = self.points @ rotation.T + np.asarray(translation, dtype=np.float64)
-        covs = None
-        if self.has_covariances:
-            covs = np.einsum("ij,njk,lk->nil", rotation, self.covariances, rotation)
-        return PointCloud(pts, covs)
-
 
 @dataclass(frozen=True)
 class AzimuthBinning:

@@ -149,9 +149,6 @@ class BucketTable:
     def num_buckets(self) -> int:
         return len(self.edges)
 
-    def total_runs(self) -> int:
-        return sum(c.count for c in self.cells.values())
-
     def save_csv(self, path, models=None):
         models = models or sorted({m for _, m in self.cells})
         with open(path, "w") as f:

@@ -10,8 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError, ParameterError
-from .geometry import AzimuthBinning, bin_center_angle
+from .geometry import bin_center_angle
 from .smvs import SmvsProfile
+
+STANDOFF_BOUNDS = (10.0, 15.0)          # meters; the requested standoff is clamped
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,6 @@ class PlacementResult:
     bbox_min: np.ndarray
     bbox_max: np.ndarray
     center: np.ndarray                  # (C_x, C_y)
-    trajectory_point: np.ndarray        # point on the fitted trajectory line
     trajectory_direction: np.ndarray    # unit
     placement_direction: np.ndarray     # unit, perpendicular to trajectory
     line_intersection: np.ndarray       # center projected onto the trajectory
@@ -50,18 +51,16 @@ def top_frames(profile: SmvsProfile, top_m: int):
 def critical_directions(
     profile: SmvsProfile,
     top_m: int = 10,
-    binning: AzimuthBinning | None = None,
 ) -> list[HalfLine2D]:
     """One half-line per top frame, from its world position toward the
     world-frame azimuth of the peak-score region's bin center."""
-    binning = binning or AzimuthBinning()
     if len(profile) < 2:
         raise ParameterError("need a profile with at least 2 frames")
     if top_m < 2:
         raise ParameterError("top_m must be >= 2")
     lines = []
     for entry in top_frames(profile, top_m):
-        local = bin_center_angle(entry.smvs.k_center, binning)
+        local = bin_center_angle(entry.smvs.k_center, profile.binning)
         world = entry.pose.yaw() + local
         origin = (float(entry.pose.translation[0]), float(entry.pose.translation[1]))
         lines.append(
@@ -130,9 +129,7 @@ def placement_line(
     profile: SmvsProfile,
     top_m: int = 10,
     standoff: float = 12.5,
-    standoff_bounds: tuple[float, float] = (10.0, 15.0),
     kept_points=None,
-    bbox=None,
 ) -> PlacementResult:
     """Placement line through the center, perpendicular to the trajectory
     fitted over the top-m frames; two recommended positions at the clamped
@@ -149,7 +146,7 @@ def placement_line(
     along = (center - traj_point) @ traj_dir
     intersection = traj_point + along * traj_dir
 
-    s = float(np.clip(standoff, standoff_bounds[0], standoff_bounds[1]))
+    s = float(np.clip(standoff, *STANDOFF_BOUNDS))
     recommended = np.stack([intersection + s * perp, intersection - s * perp])
 
     kept = (
@@ -157,9 +154,7 @@ def placement_line(
         if kept_points is not None
         else np.empty((0, 2))
     )
-    if bbox is not None:
-        bbox_min, bbox_max = (np.asarray(b, dtype=np.float64) for b in bbox)
-    elif len(kept):
+    if len(kept):
         bbox_min, bbox_max = kept.min(axis=0), kept.max(axis=0)
     else:
         bbox_min = bbox_max = center.copy()
@@ -169,7 +164,6 @@ def placement_line(
         bbox_min=bbox_min,
         bbox_max=bbox_max,
         center=center,
-        trajectory_point=traj_point,
         trajectory_direction=traj_dir,
         placement_direction=perp,
         line_intersection=intersection,
@@ -182,10 +176,9 @@ def optimize_placement(
     profile: SmvsProfile,
     top_m: int = 10,
     standoff: float = 12.5,
-    binning: AzimuthBinning | None = None,
 ) -> PlacementResult:
     """Full placement chain: directions -> intersections -> filter -> line."""
-    lines = critical_directions(profile, top_m, binning)
+    lines = critical_directions(profile, top_m)
     points = intersect_halflines(lines)
     if len(points) == 0:
         # No forward crossings: fall back to the half-line origins' spread
@@ -193,14 +186,13 @@ def optimize_placement(
         points = np.array([l.origin for l in lines]) + standoff * np.array(
             [l.direction for l in lines]
         )
-    kept, bbox_min, bbox_max, center = filter_outliers(points)
+    kept, _, _, center = filter_outliers(points)
     return placement_line(
         center,
         profile,
         top_m=top_m,
         standoff=standoff,
         kept_points=kept,
-        bbox=(bbox_min, bbox_max),
     )
 
 

@@ -1,5 +1,5 @@
 """Scan Matching Vulnerability Score: point-wise importances, azimuth-region
-histograms and the frame-wise aggregate, over single frames or whole runs.
+scores and the frame-wise aggregate, over single frames or whole runs.
 
 Point-wise importance is I = |x_min_global . x_max_local| where
 x_min_global is the eigenvector of the smallest eigenvalue of the global
@@ -26,6 +26,7 @@ from .geometry import (
     estimate_covariances,
 )
 from .matching import linearize
+from .pipelines import PipelineConfig
 from .se3 import PoseSE3
 from .trajectory import Trajectory
 
@@ -54,16 +55,9 @@ class ImportanceCloud:
 
 
 @dataclass
-class RegionHistogram:
-    scores: np.ndarray              # (n,)
-    k_center: int
-
-
-@dataclass
 class FrameSmvs:
     value: float
     k_center: int
-    d_th: int
 
 
 @dataclass
@@ -71,7 +65,6 @@ class SmvsFrameEntry:
     frame_id: int
     timestamp: float
     smvs: FrameSmvs
-    histogram: RegionHistogram
     pose: PoseSE3
     degenerate_spectrum: bool
 
@@ -80,6 +73,7 @@ class SmvsFrameEntry:
 class SmvsProfile:
     entries: list[SmvsFrameEntry]
     skipped: list[tuple[int, str]] = field(default_factory=list)
+    binning: AzimuthBinning = field(default_factory=AzimuthBinning)   # regions of k_center
 
     def __len__(self):
         return len(self.entries)
@@ -106,10 +100,11 @@ class SmvsConfig:
     clone_sigma: float = 0.01
     keep_ratio: float = 0.9
     seed: int = 0
-    covariance_k: int = 20
-    covariance_epsilon: float = 1e-3
-    max_corr_dist: float = 2.0
     threads: int = 1
+
+
+# SMVS scores the matcher the pipelines run, with their GICP settings.
+_GICP = PipelineConfig()
 
 
 def perturbed_clones(frame: PointCloud, params: CloneParams):
@@ -134,14 +129,6 @@ def perturbed_clones(frame: PointCloud, params: CloneParams):
     return clones[0], clones[1]
 
 
-def _sign_normalize(vec: np.ndarray) -> np.ndarray:
-    """Make the first nonzero component positive."""
-    for v in vec:
-        if v != 0.0:
-            return vec if v > 0 else -vec
-    return vec
-
-
 def pointwise_smvs(
     source: PointCloud,
     target: PointCloud,
@@ -164,7 +151,7 @@ def pointwise_smvs(
     lam_min = float(eigvals[0])
     scale = max(abs(float(eigvals[-1])), 1e-300)
     degenerate = bool((eigvals[1] - eigvals[0]) / scale < 1e-6)
-    x_min = _sign_normalize(eigvecs[:, 0].copy())
+    x_min = eigvecs[:, 0].copy()
 
     matched = system.correspondences >= 0
     local_vecs = np.zeros((len(source), 6))
@@ -192,10 +179,10 @@ def framewise_smvs(
     binning: AzimuthBinning | None = None,
     d_th: int = 8,
 ):
-    """Aggregate point importances into a region histogram and frame score.
+    """Aggregate point importances into azimuth-region scores and the frame score.
 
-    Returns (FrameSmvs, RegionHistogram). Points on the z-axis cannot be
-    binned and are dropped; if none remain the frame is unanalyzable.
+    Returns (FrameSmvs, the (binning.n,) region scores). Points on the z-axis
+    cannot be binned and are dropped; if none remain the frame is unanalyzable.
     """
     binning = binning or AzimuthBinning()
     if d_th > binning.n // 2:
@@ -212,9 +199,7 @@ def framewise_smvs(
     delta = np.abs(ks - k_center)
     d = np.minimum(delta, binning.n - delta)
     value = float(np.sum(scores * (d_th - d)))
-    return FrameSmvs(value=value, k_center=k_center, d_th=d_th), RegionHistogram(
-        scores=scores, k_center=k_center
-    )
+    return FrameSmvs(value=value, k_center=k_center), scores
 
 
 def frame_seed(global_seed: int, frame_id: int) -> int:
@@ -229,14 +214,14 @@ def analyze_frame(frame: PointCloud, frame_id: int, cfg: SmvsConfig):
         seed=frame_seed(cfg.seed, frame_id),
     )
     source, target = perturbed_clones(frame, params)
-    k = min(cfg.covariance_k, len(source), len(target))
+    k = min(_GICP.covariance_k, len(source), len(target))
     if k < 4:
         raise AnalysisError(f"frame {frame_id} too sparse for covariance estimation")
-    source = estimate_covariances(source, k=k, epsilon=cfg.covariance_epsilon)
-    target = estimate_covariances(target, k=k, epsilon=cfg.covariance_epsilon)
-    imp = pointwise_smvs(source, target, cfg.max_corr_dist)
-    smvs, hist = framewise_smvs(imp, source, cfg.binning, cfg.d_th)
-    return smvs, hist, imp
+    source = estimate_covariances(source, k=k, epsilon=_GICP.covariance_epsilon)
+    target = estimate_covariances(target, k=k, epsilon=_GICP.covariance_epsilon)
+    imp = pointwise_smvs(source, target, _GICP.matcher.max_corr_dist)
+    smvs, _ = framewise_smvs(imp, source, cfg.binning, cfg.d_th)
+    return smvs, imp
 
 
 def trajectory_smvs(
@@ -272,21 +257,22 @@ def trajectory_smvs(
         if isinstance(res, AnalysisError):
             skipped.append((i, str(res)))
             continue
-        smvs, hist, imp = res
+        smvs, imp = res
         entries.append(
             SmvsFrameEntry(
                 frame_id=i,
                 timestamp=float(dataset.timestamps[i]),
                 smvs=smvs,
-                histogram=hist,
                 pose=benign_trajectory.poses[i],
                 degenerate_spectrum=imp.degenerate_spectrum,
             )
         )
-    return SmvsProfile(entries=entries, skipped=skipped)
+    return SmvsProfile(entries=entries, skipped=skipped, binning=cfg.binning)
 
 
 def load_profile_csv(path) -> SmvsProfile:
+    """Read `SmvsProfile.save_csv` output; its regions are the default binning,
+    because the file does not record the region count."""
     entries = []
     with open(path, "r") as f:
         f.readline()                                        # header
@@ -305,13 +291,18 @@ def load_profile_csv(path) -> SmvsProfile:
                 q = [float(v) for v in parts[7:11]]
             except ValueError:
                 raise ParameterError(f"{path}:{lineno}: non-numeric field") from None
+            if not np.isfinite([timestamp, value, *t, *q]).all():
+                raise ParameterError(f"{path}:{lineno}: non-finite field")
+            try:
+                pose = PoseSE3(q, t)
+            except ParameterError as exc:
+                raise ParameterError(f"{path}:{lineno}: {exc}") from None
             entries.append(
                 SmvsFrameEntry(
                     frame_id=frame_id,
                     timestamp=timestamp,
-                    smvs=FrameSmvs(value=value, k_center=k_center, d_th=-1),
-                    histogram=RegionHistogram(scores=np.zeros(0), k_center=k_center),
-                    pose=PoseSE3(q, t),
+                    smvs=FrameSmvs(value=value, k_center=k_center),
+                    pose=pose,
                     degenerate_spectrum=False,
                 )
             )

@@ -27,9 +27,6 @@ class Trajectory:
     def __len__(self):
         return len(self.poses)
 
-    def positions(self) -> np.ndarray:
-        return np.array([p.translation for p in self.poses]).reshape(-1, 3)
-
     def save(self, path):
         """Write TUM lines: timestamp tx ty tz qx qy qz qw."""
         with open(path, "w") as f:

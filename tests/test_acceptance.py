@@ -317,6 +317,7 @@ def test_criterion_3_framewise_closed_forms(capsys):
 # ------------------------------------------------------------ criterion 4
 
 
+@pytest.mark.slow
 def test_criterion_4_smvs_error_rank_separation(
     capsys, course, gt_relative, prior_map, smvs_profile
 ):
@@ -352,6 +353,7 @@ def test_criterion_4_smvs_error_rank_separation(
 # ------------------------------------------------------------ criterion 5
 
 
+@pytest.mark.slow
 def test_criterion_5_placement_superiority(capsys, course, prior_map, smvs_profile):
     start = time.monotonic()
     seeds = (0, 1, 2)

@@ -1,10 +1,17 @@
 import filecmp
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import smvslab
 from smvslab.cli import build_parser, dispatch
 from smvslab.datasets import load_dataset, read_manifest
+from smvslab.geometry import AzimuthBinning
+from smvslab.placement import optimize_placement
+from smvslab.smvs import SmvsProfile, load_profile_csv
 from smvslab.trajectory import Trajectory
 
 FAST_SENSOR = [
@@ -56,6 +63,26 @@ def test_domain_error_exits_1(tmp_path):
         + FAST_SENSOR
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["odom", "--dataset", "nope"], {}),
+    (["eval", "--est", "nope.txt", "--ref", "nope.txt"], {}),
+    (["scene", "--config", "nope.cfg"], {}),
+    (["scene"], {"SMVSLAB_SEED": "abc"}),
+], ids=["missing-dataset", "missing-trajectory", "missing-config", "bad-seed-env"])
+def test_bad_input_exits_1_without_traceback(tmp_path, argv, env):
+    src = os.path.dirname(os.path.dirname(smvslab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "smvslab.cli", *argv, "--out", str(tmp_path / "out")],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src, **env},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_scene_writes_dataset_and_manifest(tmp_path):
@@ -254,3 +281,21 @@ def test_pipeline_writes_full_tree(tmp_path, pipeline):
     assert [m.split(",")[0] for m in metrics] == [
         "metric", "ape_rmse_m", "ape_max_m", "ape_rot_rmse_deg", "rpe_max_m",
     ]
+
+
+def test_pipeline_places_with_the_profiles_region_count(tmp_path):
+    # Criterion 8's course, binned into 36 regions instead of 72.
+    out = tmp_path / "run"
+    assert run(
+        ["pipeline", "--out", str(out), "--seed", "9", "--pipeline", "priormap",
+         "--archetype", "mixed", "--top-m", "5", "--n-regions", "36"]
+        + SHORT_COURSE
+        + FAST_SENSOR
+    ) == 0
+    placed = read_manifest(out / "placement.txt")
+    center = (float(placed["center_x"]), float(placed["center_y"]))
+    entries = load_profile_csv(out / "smvs_profile.csv").entries
+    for n, expected in ((36, True), (72, False)):
+        profile = SmvsProfile(entries, binning=AzimuthBinning(n))
+        result = optimize_placement(profile, top_m=5, standoff=12.5)
+        assert (center == pytest.approx(tuple(result.center), abs=1e-9)) is expected

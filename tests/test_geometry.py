@@ -55,20 +55,6 @@ def test_pointcloud_select_keeps_covariances():
     assert np.allclose(sub.covariances, covs[[2, 0]])
 
 
-def test_pointcloud_transformed_conjugates_covariances():
-    rng = np.random.default_rng(0)
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    from smvslab.se3 import PoseSE3
-
-    rot = PoseSE3(q, (0, 0, 0)).rotation_matrix()
-    covs = np.stack([np.diag([1.0, 2.0, 3.0])] * 2)
-    cloud = PointCloud(rng.normal(size=(2, 3)), covs)
-    moved = cloud.transformed(rot, (1.0, 0.0, -2.0))
-    for i in range(2):
-        assert np.allclose(moved.covariances[i], rot @ covs[i] @ rot.T)
-
-
 def test_azimuth_binning_validation():
     with pytest.raises(ParameterError):
         AzimuthBinning(3)

@@ -72,7 +72,7 @@ def test_priormap_default_init_is_identity(short_course):
     est, _ = priormap_localize(short_course, prior)
     # Identity init coincides with the ground-truth start except for height,
     # so localization still locks on.
-    assert np.isfinite(est.positions()).all()
+    assert np.isfinite([p.translation for p in est.poses]).all()
 
 
 def test_empty_dataset_rejected():

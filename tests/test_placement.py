@@ -18,15 +18,14 @@ from smvslab.placement import (
     top_frames,
 )
 from smvslab.se3 import PoseSE3
-from smvslab.smvs import FrameSmvs, RegionHistogram, SmvsFrameEntry, SmvsProfile
+from smvslab.smvs import FrameSmvs, SmvsFrameEntry, SmvsProfile
 
 
 def make_entry(frame_id, value, k_center, position, yaw=0.0):
     return SmvsFrameEntry(
         frame_id=frame_id,
         timestamp=0.1 * frame_id,
-        smvs=FrameSmvs(value=value, k_center=k_center, d_th=8),
-        histogram=RegionHistogram(scores=np.zeros(72), k_center=k_center),
+        smvs=FrameSmvs(value=value, k_center=k_center),
         pose=PoseSE3.from_rpy(0.0, 0.0, yaw, (position[0], position[1], 1.5)),
         degenerate_spectrum=False,
     )
@@ -108,17 +107,17 @@ def test_fit_direction_coincident_points():
 # ---------------------------------------------------------------- profile chain
 
 
-def linear_profile():
+def linear_profile(n=72):
     """Vehicle going +x; the five highest-SMVS frames all look toward a
-    common target near (20, -12)."""
+    common target near (20, -12), in n azimuth regions."""
     entries = []
     target = np.array([20.0, -12.0])
     for i in range(10):
         pos = np.array([2.0 * i, 0.0])
         angle = math.atan2(*(target - pos)[::-1])
         value = 100.0 - 50.0 * abs(i - 5)  # peak SMVS near the middle
-        entries.append(make_entry(i, value, k_for_angle(angle), pos))
-    return SmvsProfile(entries=entries)
+        entries.append(make_entry(i, value, k_for_angle(angle, n), pos))
+    return SmvsProfile(entries=entries, binning=AzimuthBinning(n))
 
 
 def test_top_frames_ordering_and_ties():
@@ -133,14 +132,15 @@ def test_top_frames_ordering_and_ties():
 
 
 def test_critical_directions_point_toward_peak_region():
-    profile = linear_profile()
-    lines = critical_directions(profile, top_m=5)
-    assert len(lines) == 5
-    for line in lines:
-        # Each half-line must roughly aim at the common target.
-        to_target = np.array([20.0, -12.0]) - np.asarray(line.origin)
-        to_target /= np.linalg.norm(to_target)
-        assert np.asarray(line.direction) @ to_target > 0.99
+    # The profile's own region count sets the bin centers.
+    for n in (72, 36):
+        lines = critical_directions(linear_profile(n), top_m=5)
+        assert len(lines) == 5
+        for line in lines:
+            # Each half-line must roughly aim at the common target.
+            to_target = np.array([20.0, -12.0]) - np.asarray(line.origin)
+            to_target /= np.linalg.norm(to_target)
+            assert np.asarray(line.direction) @ to_target > 0.99
 
 
 def test_critical_directions_account_for_yaw():

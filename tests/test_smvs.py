@@ -154,8 +154,8 @@ def test_pointwise_rotation_equivariance():
 
     source, target = prepared_clones(6)
     rot = PoseSE3.from_rpy(0.0, 0.0, 0.7).rotation_matrix()
-    src_r = source.transformed(rot, (0.0, 0.0, 0.0))
-    tgt_r = target.transformed(rot, (0.0, 0.0, 0.0))
+    src_r = PointCloud(source.points @ rot.T, rot @ source.covariances @ rot.T)
+    tgt_r = PointCloud(target.points @ rot.T, rot @ target.covariances @ rot.T)
     imp = pointwise_smvs(source, target)
     imp_r = pointwise_smvs(src_r, tgt_r)
     assert np.max(np.abs(imp.importance - imp_r.importance)) < 1e-7
@@ -235,11 +235,11 @@ def test_framewise_score_mass_conserved():
     source, target = prepared_clones(9)
     imp = pointwise_smvs(source, target)
     binning = AzimuthBinning(72)
-    _, hist = framewise_smvs(imp, source, binning)
+    _, scores = framewise_smvs(imp, source, binning)
     from smvslab.geometry import azimuth_bins
 
     _, valid = azimuth_bins(source.points, binning)
-    assert hist.scores.sum() == pytest.approx(imp.importance[valid].sum())
+    assert scores.sum() == pytest.approx(imp.importance[valid].sum())
 
 
 def test_framewise_rotation_by_whole_bins_shifts_center():
@@ -358,5 +358,13 @@ def test_load_profile_csv_rejects_malformed_rows(tmp_path):
     path.write_text(header + good + good.replace("0.5", "oops"))
     with pytest.raises(ParameterError, match=r"profile\.csv:3: non-numeric"):
         load_profile_csv(path)
+    for bad, message in (
+        ("1,0.1,nan,3,0.0,0.0,0.0,0.0,0.0,0.0,1.0\n", "non-finite"),
+        ("1,0.1,0.5,3,inf,0.0,0.0,0.0,0.0,0.0,1.0\n", "non-finite"),
+        ("1,0.1,0.5,3,0.0,0.0,0.0,0.0,0.0,0.0,2.0\n", "quaternion norm"),
+    ):
+        path.write_text(header + good + bad)
+        with pytest.raises(ParameterError, match=rf"profile\.csv:3: {message}"):
+            load_profile_csv(path)
     path.write_text(header + good + "\n")
     assert len(load_profile_csv(path)) == 1
