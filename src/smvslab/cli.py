@@ -10,7 +10,7 @@ import sys
 
 from . import __version__
 from .attacks import AttackSpec, SpooferState, attack_dataset, spoof_window
-from .datasets import FrameDataset, load_dataset, read_manifest, save_dataset, write_manifest
+from .datasets import FrameDataset, load_dataset, save_dataset
 from .errors import ParameterError, SmvslabError
 from .geometry import AzimuthBinning, load_xyz, save_xyz
 from .metrics import DEFAULT_BUCKET_EDGES, RunRecord, ape, bucket_report, rpe
@@ -19,6 +19,7 @@ from .placement import choose_recommended, optimize_placement, save_placement
 from .se3 import PoseSE3
 from .simulate import SceneSpec, SensorModel, TrajectorySpec, build_scene, generate_dataset
 from .smvs import SmvsConfig, load_profile_csv, trajectory_smvs
+from .textio import read_table, to_array, write_manifest, write_table
 from .trajectory import Trajectory
 
 ATTACK_FLAG_TO_MODEL = {
@@ -33,24 +34,29 @@ def _apply_config_defaults(parser, args, argv):
     at default. A flag counts as given in full, as `--flag=value` or as an
     abbreviation argparse accepted. Values go through the flag's own type;
     a key the subcommand does not define, or a value its flag rejects,
-    raises ParameterError naming the file."""
+    raises ParameterError naming the file and line."""
     path = args.config
     subcommands = next(a for a in parser._actions if a.dest == "command")
     actions = {a.dest: a for a in subcommands.choices[args.command]._actions if a.option_strings}
     given = [a.split("=", 1)[0] for a in argv if a.startswith("--") and a != "--"]
-    for key, raw in read_manifest(path).items():
+    lines, rows = read_table(path, 2, sep="=")
+    for lineno, (key, raw) in zip(lines, rows):
+        key, raw = key.strip(), raw.strip()
+        where = f"{path}:{lineno}"
         action = actions.get(key.replace("-", "_"))
         if action is None or action.dest in ("help", "config"):
-            raise ParameterError(f"{path}: unknown key {key!r} for {args.command}")
+            raise ParameterError(f"{where}: unknown key {key!r} for {args.command}")
         try:
             if isinstance(action.default, bool):
                 value = raw.lower() in ("1", "true", "yes")
             else:
                 value = action.type(raw) if action.type else raw
         except ValueError:
-            raise ParameterError(f"{path}: bad value {raw!r} for {key}") from None
+            raise ParameterError(f"{where}: bad value {raw!r} for {key}") from None
         if action.choices is not None and value not in action.choices:
-            raise ParameterError(f"{path}: bad value {raw!r} for {key}")
+            raise ParameterError(f"{where}: bad value {raw!r} for {key}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"{where}: non-finite field")
         if not any(flag.startswith(g) for flag in action.option_strings for g in given):
             setattr(args, action.dest, value)
 
@@ -236,17 +242,13 @@ def _simulate(args, seed) -> FrameDataset:
 def _save_run(out, prefix, trajectory, statuses):
     """Write `<prefix>trajectory.txt` and the per-frame `<prefix>frames.csv`."""
     trajectory.save(os.path.join(out, prefix + "trajectory.txt"))
-    with open(os.path.join(out, prefix + "frames.csv"), "w") as f:
-        f.write("frame_id,converged,iterations,error\n")
-        for s in statuses:
-            f.write(f"{s.frame_id},{int(s.converged)},{s.iterations},{s.error or ''}\n")
+    rows = [(s.frame_id, int(s.converged), s.iterations, s.error or "") for s in statuses]
+    header = "frame_id,converged,iterations,error"
+    write_table(os.path.join(out, prefix + "frames.csv"), "{},{},{},{}", rows, header=header)
 
 
 def _save_metrics(path, rows: dict):
-    with open(path, "w") as f:
-        f.write("metric,value\n")
-        for name, value in rows.items():
-            f.write(f"{name},{value!r}\n")
+    write_table(path, "{},{!r}", rows.items(), header="metric,value")
 
 
 def _localize(ds, pipeline, origin, prior):
@@ -343,20 +345,14 @@ def _cmd_eval(args, seed):
 
 
 def _cmd_report(args, seed):
-    runs = []
-    with open(args.runs, "r") as f:
-        f.readline()                                        # header
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            if len(parts) != 4:
-                raise ParameterError(f"{args.runs}:{lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                smvs, ape_m, ape_deg = float(parts[0]), float(parts[2]), float(parts[3])
-            except ValueError:
-                raise ParameterError(f"{args.runs}:{lineno}: non-numeric field") from None
-            runs.append(RunRecord(smvs=smvs, model=parts[1], ape_m=ape_m, ape_deg=ape_deg))
+    lines, rows = read_table(args.runs, 4, sep=",", header=True)
+    # SMVS is nan when no attacked frame has a profile entry (see pipeline).
+    smvs = to_array(args.runs, lines, [r[:1] for r in rows], finite=False)
+    apes = to_array(args.runs, lines, [r[2:] for r in rows])
+    runs = [
+        RunRecord(smvs=s, model=r[1], ape_m=ape_m, ape_deg=ape_deg)
+        for (s,), r, (ape_m, ape_deg) in zip(smvs.tolist(), rows, apes.tolist())
+    ]
     edges = tuple(float(v) for v in args.edges.split(","))
     table = bucket_report(runs, edges)
     table.save_csv(os.path.join(args.out, "bucket_table.csv"))
@@ -408,12 +404,10 @@ def _cmd_pipeline(args, seed):
         (e.smvs.value for e in profile.entries if e.frame_id in attacked_ids),
         default=float("nan"),
     )
-    with open(os.path.join(out, "runs.csv"), "w") as f:
-        f.write("smvs,model,ape_m,ape_deg\n")
-        f.write(f"{segment_smvs!r},{spec.model},{stats.rmse!r},{stats.rot_rmse_deg!r}\n")
-    table = bucket_report([
-        RunRecord(smvs=segment_smvs, model=spec.model, ape_m=stats.rmse, ape_deg=stats.rot_rmse_deg)
-    ])
+    row = (segment_smvs, spec.model, stats.rmse, stats.rot_rmse_deg)
+    header = "smvs,model,ape_m,ape_deg"
+    write_table(os.path.join(out, "runs.csv"), "{!r},{},{!r},{!r}", [row], header=header)
+    table = bucket_report([RunRecord(*row)])
     table.save_csv(os.path.join(out, "bucket_table.csv"))
 
 

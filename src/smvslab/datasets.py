@@ -27,27 +27,6 @@ class FrameDataset:
         return len(self.frames)
 
 
-def write_manifest(path, params: dict):
-    with open(path, "w") as f:
-        for key in sorted(params):
-            f.write(f"{key}={params[key]}\n")
-
-
-def read_manifest(path) -> dict:
-    """key=value lines, keys and values stripped; blank and '#' lines skipped."""
-    out = {}
-    with open(path, "r") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ParameterError(f"{path}:{lineno}: expected key=value")
-            out[key.strip()] = value.strip()
-    return out
-
-
 def save_dataset(dataset: FrameDataset, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     for i, frame in enumerate(dataset.frames):

@@ -30,11 +30,4 @@ class DegenerateFitError(SmvslabError):
 
 
 class DivergenceError(SmvslabError):
-    """Gauss-Newton produced a non-finite update.
-
-    Carries the last valid pose so callers can fall back to it.
-    """
-
-    def __init__(self, message, last_pose=None):
-        super().__init__(message)
-        self.last_pose = last_pose
+    """Gauss-Newton produced a non-finite update."""

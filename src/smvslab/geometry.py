@@ -14,6 +14,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ParameterError, QueryError, UndefinedAzimuthError
+from .textio import read_table, to_array, write_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -260,26 +261,8 @@ def bin_center_angle(k: int, binning: AzimuthBinning) -> float:
 
 def load_xyz(path) -> PointCloud:
     """Read an ASCII "x y z" file; '#' lines are comments."""
-    pts = []
-    with open(path, "r") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParameterError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            try:
-                xyz = [float(v) for v in parts]
-            except ValueError:
-                raise ParameterError(f"{path}:{lineno}: non-numeric field") from None
-            if not all(math.isfinite(v) for v in xyz):
-                raise ParameterError(f"{path}:{lineno}: non-finite coordinate")
-            pts.append(xyz)
-    return PointCloud(np.asarray(pts, dtype=np.float64).reshape(-1, 3))
+    return PointCloud(to_array(path, *read_table(path, 3)))
 
 
 def save_xyz(cloud: PointCloud, path):
-    with open(path, "w") as f:
-        for p in cloud.points:
-            f.write(f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}\n")
+    write_table(path, "{!r} {!r} {!r}", cloud.points.tolist())

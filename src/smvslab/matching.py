@@ -213,16 +213,9 @@ def gauss_newton_align(
     """
     cfg = cfg or MatcherConfig()
     init = init or PoseSE3.identity()
-    if len(source) == 0:
-        raise ParameterError("source cloud is empty")
     index = target if isinstance(target, SpatialIndex) else SpatialIndex(target)
     if len(index) == 0:
         raise ParameterError("target cloud is empty")
-
-    if cfg.max_corr_dist <= 0:
-        raise ParameterError("max_corr_dist must be > 0")
-    if not source.has_covariances or not index.has_covariances:
-        raise ParameterError("both clouds must carry covariances")
 
     pose = init
     cost = float("nan")
@@ -245,7 +238,7 @@ def gauss_newton_align(
             except np.linalg.LinAlgError:
                 delta = np.full(6, np.nan)
             if not np.isfinite(delta).all():
-                raise DivergenceError("non-finite Gauss-Newton update", last_pose=pose)
+                raise DivergenceError("non-finite Gauss-Newton update")
             candidate = left_update(pose, delta)
             if system.cost_at(candidate) <= cost + 1e-12 * max(1.0, cost):
                 step = (candidate, delta)

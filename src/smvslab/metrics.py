@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
+from .textio import write_table
 from .trajectory import Trajectory
 
 
@@ -18,7 +19,6 @@ class ApeStats:
     std: float
     max: float
     rot_rmse_deg: float
-    rot_mean_deg: float
     rot_max_deg: float
     count: int
 
@@ -28,8 +28,6 @@ class RpeStats:
     max: float
     mean: float
     rot_max_deg: float
-    rot_mean_deg: float
-    delta: int
     count: int
 
 
@@ -76,14 +74,13 @@ def ape(est: Trajectory, ref: Trajectory, align_first_pose: bool = True) -> ApeS
         [math.degrees(e.rotation_angle_to(r)) for e, r in zip(est_poses, ref_poses)]
     )
     t_rmse, t_mean, t_std, t_max = _stats(trans)
-    r_rmse, r_mean, _, r_max = _stats(rot)
+    r_rmse, _, _, r_max = _stats(rot)
     return ApeStats(
         rmse=t_rmse,
         mean=t_mean,
         std=t_std,
         max=t_max,
         rot_rmse_deg=r_rmse,
-        rot_mean_deg=r_mean,
         rot_max_deg=r_max,
         count=len(trans),
     )
@@ -107,8 +104,6 @@ def rpe(est: Trajectory, ref: Trajectory, delta: int = 1) -> RpeStats:
         max=float(trans.max()),
         mean=float(trans.mean()),
         rot_max_deg=float(rot.max()),
-        rot_mean_deg=float(rot.mean()),
-        delta=delta,
         count=len(trans),
     )
 
@@ -151,25 +146,21 @@ class BucketTable:
 
     def save_csv(self, path, models=None):
         models = models or sorted({m for _, m in self.cells})
-        with open(path, "w") as f:
-            f.write("bucket," + ",".join(
-                f"{m}_mean_m,{m}_std_m,{m}_mean_deg,{m}_std_deg,{m}_count" for m in models
-            ) + "\n")
-            for b in range(self.num_buckets):
-                row = [self.bucket_label(b)]
-                for m in models:
-                    cell = self.cells.get((b, m))
-                    if cell is None:
-                        row += ["n/a"] * 5
-                    else:
-                        row += [
-                            f"{cell.mean_m!r}",
-                            f"{cell.std_m!r}",
-                            f"{cell.mean_deg!r}",
-                            f"{cell.std_deg!r}",
-                            str(cell.count),
-                        ]
-                f.write(",".join(row) + "\n")
+        header = "bucket," + ",".join(
+            f"{m}_mean_m,{m}_std_m,{m}_mean_deg,{m}_std_deg,{m}_count" for m in models
+        )
+        rows = []
+        for b in range(self.num_buckets):
+            row = [self.bucket_label(b)]
+            for m in models:
+                cell = self.cells.get((b, m))
+                if cell is None:
+                    row += ["n/a"] * 5
+                else:
+                    row += [repr(v) for v in (cell.mean_m, cell.std_m, cell.mean_deg, cell.std_deg)]
+                    row.append(cell.count)
+            rows.append(row)
+        write_table(path, ",".join(["{}"] * (1 + 5 * len(models))), rows, header=header)
 
 
 def bucket_index(smvs: float, edges) -> int:

@@ -9,12 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import FrameDataset
-from .errors import (
-    DegenerateLinearizationError,
-    DivergenceError,
-    ParameterError,
-    SmvslabError,
-)
+from .errors import ParameterError, SmvslabError
 from .geometry import (
     LazyCovarianceIndex,
     PointCloud,
@@ -67,7 +62,7 @@ def _align_or_predict(source, index, prediction, cfg):
     try:
         result = gauss_newton_align(source, index, prediction, cfg.matcher)
         return result.pose, result.converged, result.iterations, None
-    except (DivergenceError, DegenerateLinearizationError, SmvslabError) as exc:
+    except SmvslabError as exc:
         return prediction, False, 0, type(exc).__name__
 
 

@@ -12,6 +12,7 @@ import numpy as np
 from .errors import DegenerateFitError, ParameterError
 from .geometry import bin_center_angle
 from .smvs import SmvsProfile
+from .textio import write_table
 
 STANDOFF_BOUNDS = (10.0, 15.0)          # meters; the requested standoff is clamped
 
@@ -203,24 +204,21 @@ def choose_recommended(result: PlacementResult, profile: SmvsProfile) -> np.ndar
 
 
 def save_placement(result: PlacementResult, path, csv_path=None):
-    with open(path, "w") as f:
-        f.write(f"center_x={float(result.center[0])!r}\n")
-        f.write(f"center_y={float(result.center[1])!r}\n")
-        f.write(f"bbox_min_x={float(result.bbox_min[0])!r}\n")
-        f.write(f"bbox_min_y={float(result.bbox_min[1])!r}\n")
-        f.write(f"bbox_max_x={float(result.bbox_max[0])!r}\n")
-        f.write(f"bbox_max_y={float(result.bbox_max[1])!r}\n")
-        f.write(f"trajectory_dir_x={float(result.trajectory_direction[0])!r}\n")
-        f.write(f"trajectory_dir_y={float(result.trajectory_direction[1])!r}\n")
-        f.write(f"placement_dir_x={float(result.placement_direction[0])!r}\n")
-        f.write(f"placement_dir_y={float(result.placement_direction[1])!r}\n")
-        f.write(f"standoff={float(result.standoff)!r}\n")
-        f.write(f"recommended_a_x={float(result.recommended[0][0])!r}\n")
-        f.write(f"recommended_a_y={float(result.recommended[0][1])!r}\n")
-        f.write(f"recommended_b_x={float(result.recommended[1][0])!r}\n")
-        f.write(f"recommended_b_y={float(result.recommended[1][1])!r}\n")
+    """key=value lines of the result; `csv_path` gets the kept intersections."""
+
+    def xy(name, v):
+        return [(f"{name}_x", float(v[0])), (f"{name}_y", float(v[1]))]
+
+    rows = [
+        *xy("center", result.center),
+        *xy("bbox_min", result.bbox_min),
+        *xy("bbox_max", result.bbox_max),
+        *xy("trajectory_dir", result.trajectory_direction),
+        *xy("placement_dir", result.placement_direction),
+        ("standoff", float(result.standoff)),
+        *xy("recommended_a", result.recommended[0]),
+        *xy("recommended_b", result.recommended[1]),
+    ]
+    write_table(path, "{}={!r}", rows)
     if csv_path is not None:
-        with open(csv_path, "w") as f:
-            f.write("x,y\n")
-            for p in result.kept_points:
-                f.write(f"{float(p[0])!r},{float(p[1])!r}\n")
+        write_table(csv_path, "{!r},{!r}", result.kept_points.tolist(), header="x,y")

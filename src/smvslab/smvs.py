@@ -28,7 +28,8 @@ from .geometry import (
 from .matching import linearize
 from .pipelines import PipelineConfig
 from .se3 import PoseSE3
-from .trajectory import Trajectory
+from .textio import read_table, to_array, write_table
+from .trajectory import Trajectory, poses_from_columns
 
 
 @dataclass(frozen=True)
@@ -82,15 +83,18 @@ class SmvsProfile:
         return np.array([e.smvs.value for e in self.entries])
 
     def save_csv(self, path):
-        with open(path, "w") as f:
-            f.write("frame_id,timestamp,smvs,k_center,tx,ty,tz,qx,qy,qz,qw\n")
-            for e in self.entries:
-                tx, ty, tz = (float(v) for v in e.pose.translation)
-                qx, qy, qz, qw = (float(v) for v in e.pose.quat)
-                f.write(
-                    f"{e.frame_id},{e.timestamp!r},{e.smvs.value!r},{e.smvs.k_center},"
-                    f"{tx!r},{ty!r},{tz!r},{qx!r},{qy!r},{qz!r},{qw!r}\n"
-                )
+        """One line per entry, with the region count and the degenerate flag."""
+        rows = [
+            (e.frame_id, e.timestamp, e.smvs.value, e.smvs.k_center,
+             *e.pose.translation.tolist(), *e.pose.quat.tolist(),
+             self.binning.n, int(e.degenerate_spectrum))
+            for e in self.entries
+        ]
+        write_table(path, _PROFILE_LINE, rows, header=_PROFILE_HEADER)
+
+
+_PROFILE_HEADER = "frame_id,timestamp,smvs,k_center,tx,ty,tz,qx,qy,qz,qw,n_regions,degenerate"
+_PROFILE_LINE = "{},{!r},{!r},{}," + ",".join(["{!r}"] * 7) + ",{},{}"
 
 
 @dataclass(frozen=True)
@@ -271,39 +275,27 @@ def trajectory_smvs(
 
 
 def load_profile_csv(path) -> SmvsProfile:
-    """Read `SmvsProfile.save_csv` output; its regions are the default binning,
-    because the file does not record the region count."""
+    """Read `SmvsProfile.save_csv` output back, region count and degenerate
+    flags included. Every row must give the same region count, and k_center
+    must be a region of it."""
+    lines, rows = read_table(path, 13, sep=",", header=True)
+    ints = to_array(path, lines, [(r[0], r[3], r[11], r[12]) for r in rows], np.int64)
+    floats = to_array(path, lines, [r[1:3] + r[4:11] for r in rows])
+    poses = poses_from_columns(path, lines, floats[:, 2:])
+    binning = AzimuthBinning()
     entries = []
-    with open(path, "r") as f:
-        f.readline()                                        # header
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            if len(parts) != 11:
-                raise ParameterError(f"{path}:{lineno}: expected 11 fields, got {len(parts)}")
+    for lineno, (frame_id, k_center, n, degenerate), (timestamp, value), pose in zip(
+        lines, ints.tolist(), floats[:, :2].tolist(), poses
+    ):
+        if not entries:
             try:
-                frame_id = int(parts[0])
-                timestamp = float(parts[1])
-                value = float(parts[2])
-                k_center = int(parts[3])
-                t = [float(v) for v in parts[4:7]]
-                q = [float(v) for v in parts[7:11]]
-            except ValueError:
-                raise ParameterError(f"{path}:{lineno}: non-numeric field") from None
-            if not np.isfinite([timestamp, value, *t, *q]).all():
-                raise ParameterError(f"{path}:{lineno}: non-finite field")
-            try:
-                pose = PoseSE3(q, t)
+                binning = AzimuthBinning(n)
             except ParameterError as exc:
                 raise ParameterError(f"{path}:{lineno}: {exc}") from None
-            entries.append(
-                SmvsFrameEntry(
-                    frame_id=frame_id,
-                    timestamp=timestamp,
-                    smvs=FrameSmvs(value=value, k_center=k_center),
-                    pose=pose,
-                    degenerate_spectrum=False,
-                )
-            )
-    return SmvsProfile(entries=entries)
+        elif n != binning.n:
+            raise ParameterError(f"{path}:{lineno}: n_regions {n} differs from {binning.n} above")
+        if not 0 <= k_center < n:
+            raise ParameterError(f"{path}:{lineno}: k_center {k_center} outside [0, {n})")
+        smvs = FrameSmvs(value=value, k_center=k_center)
+        entries.append(SmvsFrameEntry(frame_id, timestamp, smvs, pose, bool(degenerate)))
+    return SmvsProfile(entries=entries, binning=binning)

@@ -6,6 +6,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .se3 import PoseSE3
+from .textio import read_table, to_array, write_table
 
 
 class Trajectory:
@@ -29,35 +30,26 @@ class Trajectory:
 
     def save(self, path):
         """Write TUM lines: timestamp tx ty tz qx qy qz qw."""
-        with open(path, "w") as f:
-            for t, pose in zip(self.timestamps, self.poses):
-                tx, ty, tz = (float(v) for v in pose.translation)
-                qx, qy, qz, qw = (float(v) for v in pose.quat)
-                f.write(
-                    f"{float(t)!r} {tx!r} {ty!r} {tz!r} {qx!r} {qy!r} {qz!r} {qw!r}\n"
-                )
+        rows = [
+            (t, *pose.translation.tolist(), *pose.quat.tolist())
+            for t, pose in zip(self.timestamps.tolist(), self.poses)
+        ]
+        write_table(path, " ".join(["{!r}"] * 8), rows)
 
     @classmethod
     def load(cls, path) -> "Trajectory":
-        ts, poses = [], []
-        with open(path, "r") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                if len(parts) != 8:
-                    raise ParameterError(f"{path}:{lineno}: expected 8 fields")
-                try:
-                    vals = [float(v) for v in parts]
-                except ValueError:
-                    raise ParameterError(f"{path}:{lineno}: non-numeric field") from None
-                if not np.isfinite(vals).all():
-                    raise ParameterError(f"{path}:{lineno}: non-finite field")
-                try:
-                    pose = PoseSE3(vals[4:8], vals[1:4])
-                except ParameterError as exc:
-                    raise ParameterError(f"{path}:{lineno}: {exc}") from None
-                ts.append(vals[0])
-                poses.append(pose)
-        return cls(ts, poses)
+        lines, rows = read_table(path, 8)
+        values = to_array(path, lines, rows)
+        # Column slices, not indices: an empty file gives a (0, 0) array.
+        return cls(values[:, :1], poses_from_columns(path, lines, values[:, 1:]))
+
+
+def poses_from_columns(path, lines, values) -> list[PoseSE3]:
+    """One pose per row of tx ty tz qx qy qz qw; a bad quaternion fails its line."""
+    poses = []
+    for lineno, row in zip(lines, values.tolist()):
+        try:
+            poses.append(PoseSE3(row[3:7], row[0:3]))
+        except ParameterError as exc:
+            raise ParameterError(f"{path}:{lineno}: {exc}") from None
+    return poses

@@ -8,10 +8,11 @@ import pytest
 
 import smvslab
 from smvslab.cli import build_parser, dispatch
-from smvslab.datasets import load_dataset, read_manifest
+from smvslab.datasets import load_dataset
 from smvslab.geometry import AzimuthBinning
 from smvslab.placement import optimize_placement
 from smvslab.smvs import SmvsProfile, load_profile_csv
+from smvslab.textio import read_manifest
 from smvslab.trajectory import Trajectory
 
 FAST_SENSOR = [
@@ -299,3 +300,14 @@ def test_pipeline_places_with_the_profiles_region_count(tmp_path):
         profile = SmvsProfile(entries, binning=AzimuthBinning(n))
         result = optimize_placement(profile, top_m=5, standoff=12.5)
         assert (center == pytest.approx(tuple(result.center), abs=1e-9)) is expected
+    # The profile file carries its region count, so `place` reading it back
+    # puts the centre where the pipeline did.
+    place_dir = tmp_path / "place"
+    assert run(
+        ["place", "--profile", str(out / "smvs_profile.csv"), "--out", str(place_dir),
+         "--top-m", "5"]
+    ) == 0
+    replaced = read_manifest(place_dir / "placement.txt")
+    assert center == pytest.approx(
+        (float(replaced["center_x"]), float(replaced["center_y"])), abs=1e-9
+    )

@@ -335,36 +335,43 @@ def test_trajectory_smvs_length_mismatch():
 
 def test_profile_csv_roundtrip(tmp_path):
     ds = tiny_dataset()
-    profile = trajectory_smvs(ds, ds.ground_truth, SmvsConfig(seed=5))
+    profile = trajectory_smvs(ds, ds.ground_truth, SmvsConfig(binning=AzimuthBinning(36), seed=5))
     path = tmp_path / "profile.csv"
     profile.save_csv(path)
     back = load_profile_csv(path)
     assert len(back) == len(profile)
+    assert back.binning == AzimuthBinning(36)
     for a, b in zip(profile.entries, back.entries):
         assert a.frame_id == b.frame_id
         assert a.smvs.value == b.smvs.value
         assert a.smvs.k_center == b.smvs.k_center
+        assert a.degenerate_spectrum == b.degenerate_spectrum
         assert np.allclose(a.pose.translation, b.pose.translation)
         assert np.allclose(a.pose.quat, b.pose.quat)
 
 
 def test_load_profile_csv_rejects_malformed_rows(tmp_path):
-    header = "frame_id,timestamp,smvs,k_center,tx,ty,tz,qx,qy,qz,qw\n"
-    good = "0,0.0,0.5,3,0.0,0.0,0.0,0.0,0.0,0.0,1.0\n"
+    header = "frame_id,timestamp,smvs,k_center,tx,ty,tz,qx,qy,qz,qw,n_regions,degenerate\n"
+    good = "0,0.0,0.5,3,0.0,0.0,0.0,0.0,0.0,0.0,1.0,72,0\n"
     path = tmp_path / "profile.csv"
     path.write_text(header + good + "1,0.1,oops\n")
-    with pytest.raises(ParameterError, match=r"profile\.csv:3: expected 11 fields"):
+    with pytest.raises(ParameterError, match=r"profile\.csv:3: expected 13 fields"):
         load_profile_csv(path)
     path.write_text(header + good + good.replace("0.5", "oops"))
     with pytest.raises(ParameterError, match=r"profile\.csv:3: non-numeric"):
         load_profile_csv(path)
     for bad, message in (
-        ("1,0.1,nan,3,0.0,0.0,0.0,0.0,0.0,0.0,1.0\n", "non-finite"),
-        ("1,0.1,0.5,3,inf,0.0,0.0,0.0,0.0,0.0,1.0\n", "non-finite"),
-        ("1,0.1,0.5,3,0.0,0.0,0.0,0.0,0.0,0.0,2.0\n", "quaternion norm"),
+        ("1,0.1,nan,3,0.0,0.0,0.0,0.0,0.0,0.0,1.0,72,0\n", "non-finite"),
+        ("1,0.1,0.5,3,inf,0.0,0.0,0.0,0.0,0.0,1.0,72,0\n", "non-finite"),
+        ("1,0.1,0.5,3,0.0,0.0,0.0,0.0,0.0,0.0,2.0,72,0\n", "quaternion norm"),
+        ("1,0.1,0.5,3,0.0,0.0,0.0,0.0,0.0,0.0,1.0,36,0\n", "n_regions 36 differs from 72"),
+        ("1,0.1,0.5,72,0.0,0.0,0.0,0.0,0.0,0.0,1.0,72,0\n", r"k_center 72 outside \[0, 72\)"),
     ):
         path.write_text(header + good + bad)
         with pytest.raises(ParameterError, match=rf"profile\.csv:3: {message}"):
             load_profile_csv(path)
+    path.write_text(header + good.replace(",72,", ",7,"))
+    with pytest.raises(ParameterError, match=r"profile\.csv:2: region count must be even"):
+        load_profile_csv(path)
     path.write_text(header + good + "\n")
     assert len(load_profile_csv(path)) == 1
