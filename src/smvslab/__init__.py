@@ -11,7 +11,6 @@ from .geometry import (
 from .matching import LinearSystem, MatchResult, MatcherConfig, gauss_newton_align, linearize
 from .se3 import PoseSE3, exp_twist
 from .smvs import (
-    CloneParams,
     SmvsConfig,
     SmvsProfile,
     framewise_smvs,
@@ -23,7 +22,6 @@ from .trajectory import Trajectory
 
 __all__ = [
     "AzimuthBinning",
-    "CloneParams",
     "LinearSystem",
     "MatchResult",
     "MatcherConfig",

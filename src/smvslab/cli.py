@@ -287,7 +287,10 @@ def _cmd_localize(args, seed):
     prior = load_xyz(args.map)
     init = PoseSE3.identity()
     if args.init_traj:
-        init = Trajectory.load(args.init_traj).poses[0]
+        poses = Trajectory.load(args.init_traj).poses
+        if not poses:
+            raise SmvslabError(f"{args.init_traj}: no poses")
+        init = poses[0]
     elif ds.ground_truth is not None:
         init = ds.ground_truth.poses[0]
     est, statuses = priormap_localize(ds, prior, init=init)
@@ -376,7 +379,7 @@ def _cmd_pipeline(args, seed):
     profile.save_csv(os.path.join(out, "smvs_profile.csv"))
 
     placement = _place(profile, args)
-    position = choose_recommended(placement, profile)
+    position = choose_recommended(placement)
     spoofer = SpooferState(
         (float(position[0]), float(position[1])), max_range=args.spoofer_range
     )

@@ -202,16 +202,15 @@ def gauss_newton_align(
     source: PointCloud,
     target,
     init: PoseSE3 | None = None,
-    cfg: MatcherConfig | None = None,
 ) -> MatchResult:
     """Iterate linearize + damped solve until the update norm converges.
 
     `target` may be a PointCloud or a prebuilt SpatialIndex. Levenberg
     damping is added to the H diagonal whenever the smallest eigenvalue
-    drops below cfg.min_eigenvalue, and increased until the step does not
-    raise the fixed-correspondence cost (`LinearSystem.cost_at`).
+    drops below `MatcherConfig.min_eigenvalue`, and increased until the step
+    does not raise the fixed-correspondence cost (`LinearSystem.cost_at`).
     """
-    cfg = cfg or MatcherConfig()
+    cfg = MatcherConfig()
     init = init or PoseSE3.identity()
     index = target if isinstance(target, SpatialIndex) else SpatialIndex(target)
     if len(index) == 0:

@@ -33,6 +33,11 @@ class PipelineConfig:
     matcher: MatcherConfig = field(default_factory=MatcherConfig)
 
 
+# The one set of GICP settings: both pipelines localize with it and SMVS
+# scores the matcher they run.
+GICP = PipelineConfig()
+
+
 @dataclass
 class FrameStatus:
     frame_id: int
@@ -42,7 +47,7 @@ class FrameStatus:
 
 
 @functools.lru_cache(maxsize=128)
-def _prepare_frame(frame: PointCloud, cfg: PipelineConfig) -> PointCloud:
+def _prepare_frame(frame: PointCloud) -> PointCloud:
     """Downsampled frame with covariances, cached by frame identity.
 
     A prepared cloud is reused whenever the same cloud comes back: a frame
@@ -50,23 +55,23 @@ def _prepare_frame(frame: PointCloud, cfg: PipelineConfig) -> PointCloud:
     pipelines localize. This holds only while no caller mutates a
     PointCloud (see its docstring); `clear_caches` drops what is kept.
     """
-    down = voxel_downsample(frame, cfg.frame_voxel)
-    k = min(cfg.covariance_k, len(down))
+    down = voxel_downsample(frame, GICP.frame_voxel)
+    k = min(GICP.covariance_k, len(down))
     if k < 4:
         raise ParameterError(f"frame too sparse after downsampling ({len(down)} points)")
-    return estimate_covariances(down, k=k, epsilon=cfg.covariance_epsilon)
+    return estimate_covariances(down, k=k, epsilon=GICP.covariance_epsilon)
 
 
-def _align_or_predict(source, index, prediction, cfg):
+def _align_or_predict(source, index, prediction):
     """Align with the prediction as seed; fall back to the prediction itself."""
     try:
-        result = gauss_newton_align(source, index, prediction, cfg.matcher)
+        result = gauss_newton_align(source, index, prediction)
         return result.pose, result.converged, result.iterations, None
     except SmvslabError as exc:
         return prediction, False, 0, type(exc).__name__
 
 
-def odometry_run(dataset: FrameDataset, cfg: PipelineConfig | None = None):
+def odometry_run(dataset: FrameDataset):
     """KISS-ICP-style odometry against a sliding local map.
 
     The first frame defines the world origin. Each frame is downsampled,
@@ -74,27 +79,24 @@ def odometry_run(dataset: FrameDataset, cfg: PipelineConfig | None = None):
     voxel-deduplicated union of the last `local_map_window` registered
     frames. Failed alignments keep the prediction and the run continues.
     """
-    cfg = cfg or PipelineConfig()
     if len(dataset) < 1:
         raise ParameterError("dataset must contain at least one frame")
-    if cfg.local_map_window < 1:
-        raise ParameterError("local map window must hold at least one frame")
 
     poses: list[PoseSE3] = []
     statuses: list[FrameStatus] = []
-    recent = deque(maxlen=cfg.local_map_window)
+    recent = deque(maxlen=GICP.local_map_window)
     map_index = None
     last_delta = PoseSE3.identity()
 
     for i, frame in enumerate(dataset.frames):
-        source = _prepare_frame(frame, cfg)
+        source = _prepare_frame(frame)
         if i == 0:
             pose = PoseSE3.identity()
             converged, iterations, err = True, 0, None
         else:
             prediction = poses[-1].compose(last_delta)
             pose, converged, iterations, err = _align_or_predict(
-                source, map_index, prediction, cfg
+                source, map_index, prediction
             )
             last_delta = poses[-1].inverse().compose(pose)
         poses.append(pose)
@@ -107,21 +109,21 @@ def odometry_run(dataset: FrameDataset, cfg: PipelineConfig | None = None):
         recent.append(PointCloud(pose.apply(source.points)))
         merged = voxel_dedup(
             PointCloud(np.concatenate([c.points for c in recent], axis=0)),
-            cfg.map_voxel,
+            GICP.map_voxel,
         )
-        k = min(cfg.covariance_k, len(merged))
-        map_index = LazyCovarianceIndex(merged, k=k, epsilon=cfg.covariance_epsilon)
+        k = min(GICP.covariance_k, len(merged))
+        map_index = LazyCovarianceIndex(merged, k=k, epsilon=GICP.covariance_epsilon)
 
     return Trajectory(dataset.timestamps, poses), statuses
 
 
 @functools.lru_cache(maxsize=4)
-def _prepare_map(prior_map: PointCloud, cfg: PipelineConfig) -> SpatialIndex:
+def _prepare_map(prior_map: PointCloud) -> SpatialIndex:
     """Downsampled prior map with covariances, indexed; cached by map identity
     like `_prepare_frame`."""
-    map_down = voxel_downsample(prior_map, cfg.map_voxel)
-    k = min(cfg.covariance_k, len(map_down))
-    map_cloud = estimate_covariances(map_down, k=k, epsilon=cfg.covariance_epsilon)
+    map_down = voxel_downsample(prior_map, GICP.map_voxel)
+    k = min(GICP.covariance_k, len(map_down))
+    map_cloud = estimate_covariances(map_down, k=k, epsilon=GICP.covariance_epsilon)
     return SpatialIndex(map_cloud)
 
 
@@ -136,30 +138,26 @@ def priormap_localize(
     dataset: FrameDataset,
     prior_map: PointCloud,
     init: PoseSE3 | None = None,
-    cfg: PipelineConfig | None = None,
 ):
     """Localize every frame against a static prior map.
 
     Each frame is seeded with the previous frame's estimate (the init for
     the first frame); failures keep the seed and are recorded.
     """
-    cfg = cfg or PipelineConfig()
     if len(dataset) < 1:
         raise ParameterError("dataset must contain at least one frame")
     if len(prior_map) == 0:
         raise ParameterError("prior map is empty")
     init = init or PoseSE3.identity()
 
-    map_index = _prepare_map(prior_map, cfg)
+    map_index = _prepare_map(prior_map)
 
     poses: list[PoseSE3] = []
     statuses: list[FrameStatus] = []
     seed = init
     for i, frame in enumerate(dataset.frames):
-        source = _prepare_frame(frame, cfg)
-        pose, converged, iterations, err = _align_or_predict(
-            source, map_index, seed, cfg
-        )
+        source = _prepare_frame(frame)
+        pose, converged, iterations, err = _align_or_predict(source, map_index, seed)
         poses.append(pose)
         statuses.append(FrameStatus(i, converged, iterations, err))
         seed = pose
@@ -167,7 +165,7 @@ def priormap_localize(
     return Trajectory(dataset.timestamps, poses), statuses
 
 
-def build_prior_map(dataset: FrameDataset, trajectory: Trajectory, voxel: float = 0.5) -> PointCloud:
+def build_prior_map(dataset: FrameDataset, trajectory: Trajectory) -> PointCloud:
     """Union of frames registered at the given poses, voxel-deduplicated."""
     if len(dataset) != len(trajectory):
         raise ParameterError("dataset and trajectory lengths differ")
@@ -175,4 +173,4 @@ def build_prior_map(dataset: FrameDataset, trajectory: Trajectory, voxel: float 
         pose.apply(frame.points)
         for frame, pose in zip(dataset.frames, trajectory.poses)
     ]
-    return voxel_downsample(PointCloud(np.concatenate(chunks, axis=0)), voxel)
+    return voxel_downsample(PointCloud(np.concatenate(chunks, axis=0)), GICP.map_voxel)

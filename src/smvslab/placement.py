@@ -49,10 +49,7 @@ def top_frames(profile: SmvsProfile, top_m: int):
     return entries[: min(top_m, len(entries))]
 
 
-def critical_directions(
-    profile: SmvsProfile,
-    top_m: int = 10,
-) -> list[HalfLine2D]:
+def critical_directions(profile: SmvsProfile, top_m: int) -> list[HalfLine2D]:
     """One half-line per top frame, from its world position toward the
     world-frame azimuth of the peak-score region's bin center."""
     if len(profile) < 2:
@@ -128,13 +125,14 @@ def fit_direction(points) -> tuple[np.ndarray, np.ndarray]:
 def placement_line(
     center,
     profile: SmvsProfile,
-    top_m: int = 10,
-    standoff: float = 12.5,
-    kept_points=None,
+    top_m: int,
+    standoff: float,
+    kept_points,
 ) -> PlacementResult:
     """Placement line through the center, perpendicular to the trajectory
     fitted over the top-m frames; two recommended positions at the clamped
-    standoff on either side."""
+    standoff on either side. The bounding box is that of the (non-empty)
+    `kept_points`."""
     entries = top_frames(profile, top_m)
     if len(entries) < 2:
         raise ParameterError("need at least 2 frames for the trajectory fit")
@@ -150,20 +148,11 @@ def placement_line(
     s = float(np.clip(standoff, *STANDOFF_BOUNDS))
     recommended = np.stack([intersection + s * perp, intersection - s * perp])
 
-    kept = (
-        np.asarray(kept_points, dtype=np.float64).reshape(-1, 2)
-        if kept_points is not None
-        else np.empty((0, 2))
-    )
-    if len(kept):
-        bbox_min, bbox_max = kept.min(axis=0), kept.max(axis=0)
-    else:
-        bbox_min = bbox_max = center.copy()
-
+    kept = np.asarray(kept_points, dtype=np.float64).reshape(-1, 2)
     return PlacementResult(
         kept_points=kept,
-        bbox_min=bbox_min,
-        bbox_max=bbox_max,
+        bbox_min=kept.min(axis=0),
+        bbox_max=kept.max(axis=0),
         center=center,
         trajectory_direction=traj_dir,
         placement_direction=perp,
@@ -197,7 +186,7 @@ def optimize_placement(
     )
 
 
-def choose_recommended(result: PlacementResult, profile: SmvsProfile) -> np.ndarray:
+def choose_recommended(result: PlacementResult) -> np.ndarray:
     """Pick the candidate on the same side as the intersection cluster."""
     side = (result.center - result.line_intersection) @ result.placement_direction
     return result.recommended[0] if side >= 0 else result.recommended[1]

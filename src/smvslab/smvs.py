@@ -26,23 +26,10 @@ from .geometry import (
     estimate_covariances,
 )
 from .matching import linearize
-from .pipelines import PipelineConfig
+from .pipelines import GICP
 from .se3 import PoseSE3
 from .textio import read_table, to_array, write_table
 from .trajectory import Trajectory, poses_from_columns
-
-
-@dataclass(frozen=True)
-class CloneParams:
-    sigma: float = 0.01
-    keep_ratio: float = 0.9
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ParameterError("noise sigma must be >= 0")
-        if not (0 < self.keep_ratio <= 1):
-            raise ParameterError("keep_ratio must be in (0, 1]")
 
 
 @dataclass
@@ -106,47 +93,46 @@ class SmvsConfig:
     seed: int = 0
     threads: int = 1
 
+    def __post_init__(self):
+        if self.clone_sigma < 0:
+            raise ParameterError("noise sigma must be >= 0")
+        if not (0 < self.keep_ratio <= 1):
+            raise ParameterError("keep_ratio must be in (0, 1]")
 
-# SMVS scores the matcher the pipelines run, with their GICP settings.
-_GICP = PipelineConfig()
 
-
-def perturbed_clones(frame: PointCloud, params: CloneParams):
+def perturbed_clones(frame: PointCloud, sigma: float, keep_ratio: float, seed: int):
     """Two independently subsampled and jittered copies of a frame.
 
     Each clone keeps round(keep_ratio * N) points (original order) and adds
-    i.i.d. Gaussian noise per axis; sub-seeds are spawned from params.seed
-    so the same seed always yields bitwise-identical clones.
+    i.i.d. Gaussian noise of std `sigma` per axis; sub-seeds are spawned
+    from `seed` so the same seed always yields bitwise-identical clones.
     """
     n = len(frame)
     if n == 0:
         raise ParameterError("frame is empty")
-    keep = int(round(params.keep_ratio * n))
+    keep = int(round(keep_ratio * n))
     keep = max(keep, 1)
-    children = np.random.SeedSequence(params.seed).spawn(2)
+    children = np.random.SeedSequence(seed).spawn(2)
     clones = []
     for child in children:
         rng = np.random.Generator(np.random.PCG64(child))
         idx = np.sort(rng.choice(n, size=keep, replace=False))
-        pts = frame.points[idx] + rng.normal(0.0, params.sigma, size=(keep, 3))
+        pts = frame.points[idx] + rng.normal(0.0, sigma, size=(keep, 3))
         clones.append(PointCloud(pts))
     return clones[0], clones[1]
 
 
-def pointwise_smvs(
-    source: PointCloud,
-    target: PointCloud,
-    max_corr_dist: float = 2.0,
-) -> ImportanceCloud:
+def pointwise_smvs(source: PointCloud, target: PointCloud) -> ImportanceCloud:
     """Per-point importance of the source cloud against the target.
 
-    Linearizes once at the identity pose, eigendecomposes the global
-    Hessian for its weakest direction and every local Hessian for its
-    strongest one. Unmatched points get importance 0.
+    Linearizes once at the identity pose with the pipelines' correspondence
+    radius, eigendecomposes the global Hessian for its weakest direction and
+    every local Hessian for its strongest one. Unmatched points get
+    importance 0.
     """
     try:
         system = linearize(
-            source, SpatialIndex(target), PoseSE3.identity(), max_corr_dist
+            source, SpatialIndex(target), PoseSE3.identity(), GICP.matcher.max_corr_dist
         )
     except DegenerateLinearizationError as exc:
         raise AnalysisError(str(exc)) from exc
@@ -180,15 +166,14 @@ def pointwise_smvs(
 def framewise_smvs(
     imp: ImportanceCloud,
     frame: PointCloud,
-    binning: AzimuthBinning | None = None,
-    d_th: int = 8,
+    binning: AzimuthBinning,
+    d_th: int,
 ):
     """Aggregate point importances into azimuth-region scores and the frame score.
 
     Returns (FrameSmvs, the (binning.n,) region scores). Points on the z-axis
     cannot be binned and are dropped; if none remain the frame is unanalyzable.
     """
-    binning = binning or AzimuthBinning()
     if d_th > binning.n // 2:
         raise ParameterError(f"d_th={d_th} exceeds n/2={binning.n // 2}")
     bins, valid = azimuth_bins(frame.points, binning)
@@ -211,23 +196,6 @@ def frame_seed(global_seed: int, frame_id: int) -> int:
     return int(np.random.SeedSequence([global_seed, frame_id]).generate_state(1)[0])
 
 
-def analyze_frame(frame: PointCloud, frame_id: int, cfg: SmvsConfig):
-    params = CloneParams(
-        sigma=cfg.clone_sigma,
-        keep_ratio=cfg.keep_ratio,
-        seed=frame_seed(cfg.seed, frame_id),
-    )
-    source, target = perturbed_clones(frame, params)
-    k = min(_GICP.covariance_k, len(source), len(target))
-    if k < 4:
-        raise AnalysisError(f"frame {frame_id} too sparse for covariance estimation")
-    source = estimate_covariances(source, k=k, epsilon=_GICP.covariance_epsilon)
-    target = estimate_covariances(target, k=k, epsilon=_GICP.covariance_epsilon)
-    imp = pointwise_smvs(source, target, _GICP.matcher.max_corr_dist)
-    smvs, _ = framewise_smvs(imp, source, cfg.binning, cfg.d_th)
-    return smvs, imp
-
-
 def trajectory_smvs(
     dataset: FrameDataset,
     benign_trajectory: Trajectory,
@@ -244,8 +212,18 @@ def trajectory_smvs(
         raise ParameterError("dataset and trajectory lengths differ")
 
     def work(i):
+        """Frame i's SMVS and importances, or the AnalysisError that skips it."""
+        source, target = perturbed_clones(
+            dataset.frames[i], cfg.clone_sigma, cfg.keep_ratio, frame_seed(cfg.seed, i)
+        )
+        k = min(GICP.covariance_k, len(source), len(target))
+        if k < 4:
+            return AnalysisError(f"frame {i} too sparse for covariance estimation")
+        source = estimate_covariances(source, k=k, epsilon=GICP.covariance_epsilon)
+        target = estimate_covariances(target, k=k, epsilon=GICP.covariance_epsilon)
         try:
-            return analyze_frame(dataset.frames[i], i, cfg)
+            imp = pointwise_smvs(source, target)
+            return framewise_smvs(imp, source, cfg.binning, cfg.d_th)[0], imp
         except AnalysisError as exc:
             return exc
 
@@ -296,6 +274,8 @@ def load_profile_csv(path) -> SmvsProfile:
             raise ParameterError(f"{path}:{lineno}: n_regions {n} differs from {binning.n} above")
         if not 0 <= k_center < n:
             raise ParameterError(f"{path}:{lineno}: k_center {k_center} outside [0, {n})")
+        if degenerate not in (0, 1):
+            raise ParameterError(f"{path}:{lineno}: degenerate {degenerate} is not 0 or 1")
         smvs = FrameSmvs(value=value, k_center=k_center)
         entries.append(SmvsFrameEntry(frame_id, timestamp, smvs, pose, bool(degenerate)))
     return SmvsProfile(entries=entries, binning=binning)

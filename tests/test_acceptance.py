@@ -24,7 +24,6 @@ from smvslab.placement import choose_recommended, optimize_placement
 from smvslab.se3 import PoseSE3, left_update
 from smvslab.simulate import SceneSpec, SensorModel, TrajectorySpec, build_scene, generate_dataset
 from smvslab.smvs import (
-    CloneParams,
     ImportanceCloud,
     SmvsConfig,
     framewise_smvs,
@@ -358,7 +357,7 @@ def test_criterion_5_placement_superiority(capsys, course, prior_map, smvs_profi
     start = time.monotonic()
     seeds = (0, 1, 2)
     placement = optimize_placement(smvs_profile, top_m=10, standoff=12.5)
-    optimized = choose_recommended(placement, smvs_profile)
+    optimized = choose_recommended(placement)
     opt_apes = [
         attacked_priormap_ape(course, prior_map, optimized, seed) for seed in seeds
     ]

@@ -71,8 +71,14 @@ def test_domain_error_exits_1(tmp_path):
     (["eval", "--est", "nope.txt", "--ref", "nope.txt"], {}),
     (["scene", "--config", "nope.cfg"], {}),
     (["scene"], {"SMVSLAB_SEED": "abc"}),
-], ids=["missing-dataset", "missing-trajectory", "missing-config", "bad-seed-env"])
+    (["localize", "--dataset", ".", "--map", "000000.xyz", "--init-traj", "empty.txt"], {}),
+], ids=["missing-dataset", "missing-trajectory", "missing-config", "bad-seed-env",
+        "empty-init-trajectory"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv, env):
+    # A one-frame dataset (the frame doubles as the map) and a trajectory
+    # file with no poses.
+    (tmp_path / "000000.xyz").write_text("0.0 0.0 0.0\n1.0 0.0 0.0\n")
+    (tmp_path / "empty.txt").write_text("# timestamp tx ty tz qx qy qz qw\n")
     src = os.path.dirname(os.path.dirname(smvslab.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "smvslab.cli", *argv, "--out", str(tmp_path / "out")],

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from smvslab.errors import DegenerateLinearizationError, ParameterError
 from smvslab.geometry import PointCloud, SpatialIndex, estimate_covariances
 from smvslab.matching import (
-    MatcherConfig,
     gauss_newton_align,
     linearize,
     matching_cost,
@@ -185,15 +184,6 @@ def test_gauss_newton_empty_inputs():
         gauss_newton_align(empty, cloud)
     with pytest.raises(ParameterError):
         gauss_newton_align(cloud, empty)
-
-
-def test_matcher_config_used():
-    target = estimate_covariances(structured_cloud(10), k=10)
-    source = estimate_covariances(PointCloud(target.points), k=10)
-    result = gauss_newton_align(
-        source, target, PoseSE3.identity(), MatcherConfig(max_iterations=1)
-    )
-    assert result.iterations == 1
 
 
 def skew(v):

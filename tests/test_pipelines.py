@@ -108,9 +108,8 @@ def test_failed_alignment_falls_back_to_prediction():
     rng = np.random.default_rng(0)
     base = rng.uniform(-5, 5, size=(300, 3))
     far = base + 500.0
-    cfg = PipelineConfig(frame_voxel=0.25)
     ds = FrameDataset([PointCloud(base), PointCloud(far), PointCloud(far)], [0.0, 0.1, 0.2])
-    est, statuses = odometry_run(ds, cfg)
+    est, statuses = odometry_run(ds)
     assert not statuses[1].converged
     assert statuses[1].error is not None
     assert len(est) == 3
@@ -140,8 +139,3 @@ def test_cached_preparation_matches_fresh(short_course):
             assert np.array_equal(a.quat, b.quat)
             assert np.array_equal(a.translation, b.translation)
         assert st_a == st_b
-
-
-def test_local_map_window_validation(short_course):
-    with pytest.raises(ParameterError):
-        odometry_run(short_course, PipelineConfig(local_map_window=0))

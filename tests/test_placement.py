@@ -173,7 +173,7 @@ def test_optimize_placement_converges_near_target():
     # Recommended positions sit at the clamped standoff from the trajectory.
     for cand in result.recommended:
         assert abs(abs(cand[1]) - result.standoff) < 1e-9
-    picked = choose_recommended(result, profile)
+    picked = choose_recommended(result)
     assert picked[1] < 0  # same side as the aim cluster
 
 
@@ -187,7 +187,8 @@ def test_placement_standoff_clamped():
 
 def test_placement_line_projection():
     profile = linear_profile()
-    result = placement_line((7.0, -9.0), profile, top_m=5, standoff=12.0)
+    center = (7.0, -9.0)
+    result = placement_line(center, profile, top_m=5, standoff=12.0, kept_points=[center])
     # Projection of the center onto the y=0 trajectory keeps x, zeroes y.
     assert result.line_intersection == pytest.approx([7.0, 0.0])
     assert result.standoff == 12.0

@@ -11,7 +11,6 @@ from smvslab.geometry import (
     estimate_covariances,
 )
 from smvslab.smvs import (
-    CloneParams,
     ImportanceCloud,
     SmvsConfig,
     frame_seed,
@@ -39,42 +38,41 @@ def structured_frame(seed, n=200):
 
 def test_clones_deterministic():
     frame = structured_frame(0)
-    params = CloneParams(sigma=0.02, keep_ratio=0.8, seed=42)
-    a1, b1 = perturbed_clones(frame, params)
-    a2, b2 = perturbed_clones(frame, params)
+    a1, b1 = perturbed_clones(frame, 0.02, 0.8, 42)
+    a2, b2 = perturbed_clones(frame, 0.02, 0.8, 42)
     assert np.array_equal(a1.points, a2.points)
     assert np.array_equal(b1.points, b2.points)
 
 
 def test_clones_independent():
     frame = structured_frame(1)
-    a, b = perturbed_clones(frame, CloneParams(sigma=0.02, keep_ratio=0.8, seed=0))
+    a, b = perturbed_clones(frame, 0.02, 0.8, 0)
     assert not np.array_equal(a.points, b.points)
 
 
 def test_clone_size_is_rounded_keep_ratio():
     frame = structured_frame(2, n=101)  # 202 points total
-    a, b = perturbed_clones(frame, CloneParams(keep_ratio=0.9, seed=0))
+    a, b = perturbed_clones(frame, 0.01, 0.9, 0)
     assert len(a) == round(0.9 * 202)
     assert len(b) == round(0.9 * 202)
 
 
 def test_clones_sigma_zero_subsets_original():
     frame = structured_frame(3)
-    a, _ = perturbed_clones(frame, CloneParams(sigma=0.0, keep_ratio=0.5, seed=1))
+    a, _ = perturbed_clones(frame, 0.0, 0.5, 1)
     original = {tuple(p) for p in frame.points}
     assert all(tuple(p) in original for p in a.points)
 
 
 def test_clone_params_validation():
     with pytest.raises(ParameterError):
-        CloneParams(sigma=-0.1)
+        SmvsConfig(clone_sigma=-0.1)
     with pytest.raises(ParameterError):
-        CloneParams(keep_ratio=0.0)
+        SmvsConfig(keep_ratio=0.0)
     with pytest.raises(ParameterError):
-        CloneParams(keep_ratio=1.5)
+        SmvsConfig(keep_ratio=1.5)
     with pytest.raises(ParameterError):
-        perturbed_clones(PointCloud(np.empty((0, 3))), CloneParams())
+        perturbed_clones(PointCloud(np.empty((0, 3))), 0.01, 0.9, 0)
 
 
 # ---------------------------------------------------------------- point-wise
@@ -82,7 +80,7 @@ def test_clone_params_validation():
 
 def prepared_clones(seed, sigma=0.01):
     frame = structured_frame(seed)
-    src, tgt = perturbed_clones(frame, CloneParams(sigma=sigma, seed=seed))
+    src, tgt = perturbed_clones(frame, sigma, 0.9, seed)
     return estimate_covariances(src, k=10), estimate_covariances(tgt, k=10)
 
 
@@ -235,7 +233,7 @@ def test_framewise_score_mass_conserved():
     source, target = prepared_clones(9)
     imp = pointwise_smvs(source, target)
     binning = AzimuthBinning(72)
-    _, scores = framewise_smvs(imp, source, binning)
+    _, scores = framewise_smvs(imp, source, binning, d_th=8)
     from smvslab.geometry import azimuth_bins
 
     _, valid = azimuth_bins(source.points, binning)
@@ -245,7 +243,7 @@ def test_framewise_score_mass_conserved():
 def test_framewise_rotation_by_whole_bins_shifts_center():
     binning = AzimuthBinning(72)
     imp, cloud = importance_at_bins([(10, 0.5), (11, 0.2)], binning)
-    smvs, _ = framewise_smvs(imp, cloud, binning)
+    smvs, _ = framewise_smvs(imp, cloud, binning, d_th=8)
     shift = 5
     rotated = PointCloud(
         cloud.points
@@ -257,7 +255,7 @@ def test_framewise_rotation_by_whole_bins_shifts_center():
             ]
         )
     )
-    smvs_r, _ = framewise_smvs(imp, rotated, binning)
+    smvs_r, _ = framewise_smvs(imp, rotated, binning, d_th=8)
     assert smvs_r.k_center == (smvs.k_center + shift) % 72
     assert smvs_r.value == pytest.approx(smvs.value)
 
@@ -280,7 +278,7 @@ def test_framewise_all_z_axis_raises():
     )
     cloud = PointCloud([[0.0, 0.0, 1.0], [0.0, 0.0, -2.0]])
     with pytest.raises(AnalysisError):
-        framewise_smvs(imp, cloud)
+        framewise_smvs(imp, cloud, AzimuthBinning(72), d_th=8)
 
 
 # ---------------------------------------------------------------- trajectory
@@ -366,6 +364,7 @@ def test_load_profile_csv_rejects_malformed_rows(tmp_path):
         ("1,0.1,0.5,3,0.0,0.0,0.0,0.0,0.0,0.0,2.0,72,0\n", "quaternion norm"),
         ("1,0.1,0.5,3,0.0,0.0,0.0,0.0,0.0,0.0,1.0,36,0\n", "n_regions 36 differs from 72"),
         ("1,0.1,0.5,72,0.0,0.0,0.0,0.0,0.0,0.0,1.0,72,0\n", r"k_center 72 outside \[0, 72\)"),
+        ("1,0.1,0.5,3,0.0,0.0,0.0,0.0,0.0,0.0,1.0,72,7\n", "degenerate 7 is not 0 or 1"),
     ):
         path.write_text(header + good + bad)
         with pytest.raises(ParameterError, match=rf"profile\.csv:3: {message}"):
