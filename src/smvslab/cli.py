@@ -298,6 +298,7 @@ def _cmd_localize(args, seed):
 
 
 def _cmd_smvs(args, seed):
+    cfg = _smvs_cfg_from(args, seed)
     ds = load_dataset(args.dataset)
     if args.traj:
         benign = Trajectory.load(args.traj)
@@ -305,7 +306,7 @@ def _cmd_smvs(args, seed):
         benign = ds.ground_truth
     else:
         raise SmvslabError("no benign trajectory: pass --traj or provide groundtruth.txt")
-    profile = trajectory_smvs(ds, benign, _smvs_cfg_from(args, seed))
+    profile = trajectory_smvs(ds, benign, cfg)
     profile.save_csv(os.path.join(args.out, "smvs_profile.csv"))
 
 
@@ -363,6 +364,7 @@ def _cmd_report(args, seed):
 
 def _cmd_pipeline(args, seed):
     out = args.out
+    cfg = _smvs_cfg_from(args, seed)
     ds = _simulate(args, seed)
     save_dataset(ds, os.path.join(out, "dataset"))
 
@@ -375,7 +377,7 @@ def _cmd_pipeline(args, seed):
     benign, statuses = _localize(ds, args.pipeline, origin, prior)
     _save_run(out, "benign_", benign, statuses)
 
-    profile = trajectory_smvs(ds, benign, _smvs_cfg_from(args, seed))
+    profile = trajectory_smvs(ds, benign, cfg)
     profile.save_csv(os.path.join(out, "smvs_profile.csv"))
 
     placement = _place(profile, args)

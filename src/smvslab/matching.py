@@ -6,7 +6,7 @@ the weight held fixed within one linearization. With q_i = T a_i and
 J_i = [skew(q_i) | -I], the normal equations are H = sum J_i^T W_i J_i and
 g = sum J_i^T W_i d_i. `linearize` builds H, g and the cost straight from
 W and q; the per-point local Hessians J_i^T W_i J_i, which sum to H, are
-built only when SMVS reads them.
+built only when read.
 """
 
 from __future__ import annotations

@@ -4,9 +4,12 @@ scores and the frame-wise aggregate, over single frames or whole runs.
 Point-wise importance is I = |x_min_global . x_max_local| where
 x_min_global is the eigenvector of the smallest eigenvalue of the global
 6x6 matching Hessian and x_max_local the largest-eigenvalue eigenvector
-of the point's local Hessian. The frame-wise score sums azimuth-region
-importance mass weighted by f(d_k) = -d_k + d_th with circular region
-distance d_k.
+of the point's local Hessian J^T W J, J = [skew(q) | -I]. That Hessian has
+rank 3, so x_max_local comes from a 3x3 problem: with M = J J^T =
+(1+|q|^2) I - q q^T and u the top eigenvector of M^1/2 W M^1/2, it is
+v = J^T M^-1/2 u = [w x q ; -w] with w = M^-1/2 u, a unit vector. The
+frame-wise score sums azimuth-region importance mass weighted by
+f(d_k) = -d_k + d_th with circular region distance d_k.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .datasets import FrameDataset
 from .errors import AnalysisError, DegenerateLinearizationError, ParameterError
 from .geometry import (
     AzimuthBinning,
+    LazyCovarianceIndex,
     PointCloud,
     SpatialIndex,
     azimuth_bins,
@@ -37,7 +41,6 @@ class ImportanceCloud:
     importance: np.ndarray          # (N,), values in [0, 1]
     lambda_min_global: float
     x_min_global: np.ndarray        # (6,)
-    local_max_eigvecs: np.ndarray   # (N, 6)
     matched: np.ndarray             # (N,) bool
     degenerate_spectrum: bool
 
@@ -98,6 +101,8 @@ class SmvsConfig:
             raise ParameterError("noise sigma must be >= 0")
         if not (0 < self.keep_ratio <= 1):
             raise ParameterError("keep_ratio must be in (0, 1]")
+        if self.d_th > self.binning.n // 2:
+            raise ParameterError(f"d_th={self.d_th} exceeds n/2={self.binning.n // 2}")
 
 
 def perturbed_clones(frame: PointCloud, sigma: float, keep_ratio: float, seed: int):
@@ -122,17 +127,52 @@ def perturbed_clones(frame: PointCloud, sigma: float, keep_ratio: float, seed: i
     return clones[0], clones[1]
 
 
-def pointwise_smvs(source: PointCloud, target: PointCloud) -> ImportanceCloud:
+def _matrix_power(q, a):
+    """M^a for M = J J^T = s I - q q^T, s = 1 + |q|^2, batched over q (m, 3).
+
+    M has eigenvalue 1 along q and s across it, so
+    M^a = s^a I + ((1 - s^a) / |q|^2) q q^T; expm1 and log1p keep the
+    coefficient exact as q -> 0, where it tends to -a.
+    """
+    r2 = np.einsum("ni,ni->n", q, q)
+    log_s = np.log1p(r2)
+    c = np.full_like(r2, -a)
+    np.divide(-np.expm1(a * log_s), r2, out=c, where=r2 > 0)
+    out = c[:, None, None] * (q[:, :, None] * q[:, None, :])
+    out[:, [0, 1, 2], [0, 1, 2]] += np.exp(a * log_s)[:, None]
+    return out
+
+
+def _local_directions(q, weights):
+    """w = M^-1/2 u per point, u the top eigenvector of M^1/2 W M^1/2.
+
+    q (m, 3) are the matched points at the linearization pose and W
+    (m, 3, 3) their weights. The top eigenvector of the rank-3 local
+    Hessian J^T W J is v = J^T w = [w x q ; -w], of unit norm.
+    """
+    half = _matrix_power(q, 0.5)
+    u = np.linalg.eigh(half @ weights @ half)[1][:, :, -1:]
+    return (_matrix_power(q, -0.5) @ u)[:, :, 0]
+
+
+def pointwise_smvs(source: PointCloud, target) -> ImportanceCloud:
     """Per-point importance of the source cloud against the target.
 
-    Linearizes once at the identity pose with the pipelines' correspondence
-    radius, eigendecomposes the global Hessian for its weakest direction and
-    every local Hessian for its strongest one. Unmatched points get
+    `target` may be a PointCloud or a prebuilt SpatialIndex carrying
+    covariances, such as a LazyCovarianceIndex. Linearizes once at the
+    identity pose with the pipelines' correspondence radius and
+    eigendecomposes the global Hessian for its weakest direction x_min.
+    No 6x6 local Hessian is formed: with M = J J^T and u the top
+    eigenvector of the 3x3 matrix M^1/2 W M^1/2, a matched point's
+    strongest local direction is v = [w x q ; -w] with w = M^-1/2 u
+    (`_local_directions`), so its importance is
+    |v . x_min| = |w . (q x x_min[:3] - x_min[3:])|. Unmatched points get
     importance 0.
     """
+    index = target if isinstance(target, SpatialIndex) else SpatialIndex(target)
     try:
         system = linearize(
-            source, SpatialIndex(target), PoseSE3.identity(), GICP.matcher.max_corr_dist
+            source, index, PoseSE3.identity(), GICP.matcher.max_corr_dist
         )
     except DegenerateLinearizationError as exc:
         raise AnalysisError(str(exc)) from exc
@@ -144,20 +184,18 @@ def pointwise_smvs(source: PointCloud, target: PointCloud) -> ImportanceCloud:
     x_min = eigvecs[:, 0].copy()
 
     matched = system.correspondences >= 0
-    local_vecs = np.zeros((len(source), 6))
-    if matched.any():
-        _, vecs = np.linalg.eigh(system.matched_hessians)
-        local_vecs[matched] = vecs[:, :, -1]
-
-    importance = np.abs(local_vecs @ x_min)
-    importance[~matched] = 0.0
+    q = system.pose.apply(system.source_points)
+    w = _local_directions(q, system.weights)
+    importance = np.zeros(len(source))
+    importance[matched] = np.abs(
+        np.einsum("ni,ni->n", w, np.cross(q, x_min[:3]) - x_min[3:])
+    )
     importance = np.clip(importance, 0.0, 1.0)
 
     return ImportanceCloud(
         importance=importance,
         lambda_min_global=lam_min,
         x_min_global=x_min,
-        local_max_eigvecs=local_vecs,
         matched=matched,
         degenerate_spectrum=degenerate,
     )
@@ -220,7 +258,7 @@ def trajectory_smvs(
         if k < 4:
             return AnalysisError(f"frame {i} too sparse for covariance estimation")
         source = estimate_covariances(source, k=k, epsilon=GICP.covariance_epsilon)
-        target = estimate_covariances(target, k=k, epsilon=GICP.covariance_epsilon)
+        target = LazyCovarianceIndex(target, k=k, epsilon=GICP.covariance_epsilon)
         try:
             imp = pointwise_smvs(source, target)
             return framewise_smvs(imp, source, cfg.binning, cfg.d_th)[0], imp

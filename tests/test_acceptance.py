@@ -282,7 +282,6 @@ def importance_at_bins(bin_scores, binning):
         importance=np.asarray(vals, dtype=np.float64),
         lambda_min_global=0.0,
         x_min_global=np.zeros(6),
-        local_max_eigvecs=np.zeros((len(pts), 6)),
         matched=np.ones(len(pts), dtype=bool),
         degenerate_spectrum=False,
     )

@@ -66,6 +66,20 @@ def test_domain_error_exits_1(tmp_path):
     assert code == 1
 
 
+def test_smvs_bad_d_th_exits_1_before_any_frame(tmp_path, capsys, monkeypatch):
+    scene_dir = tmp_path / "scene"
+    assert run(scene_args(scene_dir)) == 0
+
+    def analysed(*args, **kwargs):
+        raise AssertionError("a frame was analysed")
+
+    monkeypatch.setattr("smvslab.smvs.perturbed_clones", analysed)
+    code = run(["smvs", "--dataset", str(scene_dir), "--out", str(tmp_path / "smvs"),
+                "--d-th", "40"])
+    assert code == 1
+    assert "error: d_th=40 exceeds n/2=36" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, env", [
     (["odom", "--dataset", "nope"], {}),
     (["eval", "--est", "nope.txt", "--ref", "nope.txt"], {}),

@@ -2,17 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from smvslab import geometry
 from smvslab.errors import AnalysisError, ParameterError
 from smvslab.geometry import (
     AzimuthBinning,
+    LazyCovarianceIndex,
     PointCloud,
     bin_center_angle,
     estimate_covariances,
 )
+from smvslab.pipelines import GICP
 from smvslab.smvs import (
     ImportanceCloud,
     SmvsConfig,
+    _local_directions,
     frame_seed,
     framewise_smvs,
     load_profile_csv,
@@ -75,6 +82,14 @@ def test_clone_params_validation():
         perturbed_clones(PointCloud(np.empty((0, 3))), 0.01, 0.9, 0)
 
 
+def test_config_rejects_d_th_beyond_half_the_regions():
+    with pytest.raises(ParameterError, match="d_th=40 exceeds n/2=36"):
+        SmvsConfig(d_th=40)
+    with pytest.raises(ParameterError, match="d_th=5 exceeds n/2=4"):
+        SmvsConfig(binning=AzimuthBinning(8), d_th=5)
+    assert SmvsConfig(d_th=36).d_th == 36
+
+
 # ---------------------------------------------------------------- point-wise
 
 
@@ -124,6 +139,48 @@ def test_pointwise_matches_dense_oracle():
         oracle, matched = dense_importance_oracle(source, target)
         assert np.array_equal(imp.matched, matched)
         assert np.max(np.abs(imp.importance - oracle)) < 1e-9
+
+
+@st.composite
+def local_problems(draw):
+    """A point q, from the origin out to 50 m, and an SPD weight A A^T + eps I."""
+    direction = draw(arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)))
+    norm = np.linalg.norm(direction)
+    radius = draw(st.one_of(st.just(0.0), st.floats(0.0, 50.0)))
+    q = radius * direction / norm if norm > 0 else np.zeros(3)
+    a = draw(arrays(np.float64, (3, 3), elements=st.floats(-1.0, 1.0)))
+    weight = a @ a.T + draw(st.floats(0.01, 1.0)) * np.eye(3)
+    return q, weight
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(local_problems())
+def test_local_direction_is_top_eigenvector_of_local_hessian(problem):
+    q, weight = problem
+    w = _local_directions(q[None], weight[None])[0]
+    v = np.concatenate([np.cross(w, q), -w])
+    skew = np.array([[0, -q[2], q[1]], [q[2], 0, -q[0]], [-q[1], q[0], 0]])
+    jac = np.hstack([skew, -np.eye(3)])
+    hessian = jac.T @ weight @ jac
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+    lam = np.linalg.eigvalsh(hessian)
+    assert np.linalg.norm(hessian @ v - lam[-1] * v) <= 1e-9 * lam[-1]
+    if lam[-1] - lam[-2] >= 1e-6 * lam[-1]:
+        v_ref = np.linalg.eigh(hessian)[1][:, -1]
+        assert abs(abs(v @ v_ref) - 1.0) < 1e-9
+
+
+def test_pointwise_lazy_target_bit_identical():
+    k, eps = GICP.covariance_k, GICP.covariance_epsilon
+    for seed in range(3):
+        src, tgt = perturbed_clones(structured_frame(seed), 0.01, 0.9, seed)
+        source = estimate_covariances(src, k=k, epsilon=eps)
+        eager = pointwise_smvs(source, estimate_covariances(tgt, k=k, epsilon=eps))
+        lazy = pointwise_smvs(source, LazyCovarianceIndex(tgt, k=k, epsilon=eps))
+        assert np.array_equal(lazy.importance, eager.importance)
+        assert lazy.lambda_min_global == eager.lambda_min_global
+        assert np.array_equal(lazy.x_min_global, eager.x_min_global)
+        assert np.array_equal(lazy.matched, eager.matched)
 
 
 def test_pointwise_importance_in_unit_interval():
@@ -195,7 +252,6 @@ def importance_at_bins(bin_scores, binning):
         importance=np.asarray(vals, dtype=np.float64),
         lambda_min_global=0.0,
         x_min_global=np.zeros(6),
-        local_max_eigvecs=np.zeros((len(pts), 6)),
         matched=np.ones(len(pts), dtype=bool),
         degenerate_spectrum=False,
     )
@@ -272,7 +328,6 @@ def test_framewise_all_z_axis_raises():
         importance=np.ones(2),
         lambda_min_global=0.0,
         x_min_global=np.zeros(6),
-        local_max_eigvecs=np.zeros((2, 6)),
         matched=np.ones(2, dtype=bool),
         degenerate_spectrum=False,
     )
@@ -320,6 +375,21 @@ def test_trajectory_smvs_thread_count_invariant(tmp_path):
     p1.save_csv(f1)
     p4.save_csv(f4)
     assert f1.read_bytes() == f4.read_bytes()
+
+
+def test_trajectory_smvs_builds_two_trees_per_frame(monkeypatch):
+    builds = []
+
+    def counting_tree(points, *args, **kwargs):
+        builds.append(len(points))
+        return original(points, *args, **kwargs)
+
+    original = geometry.cKDTree
+    monkeypatch.setattr(geometry, "cKDTree", counting_tree)
+    ds = tiny_dataset(3)
+    profile = trajectory_smvs(ds, ds.ground_truth, SmvsConfig(seed=11))
+    assert len(profile) == 3
+    assert len(builds) == 2 * 3
 
 
 def test_trajectory_smvs_length_mismatch():
