@@ -123,9 +123,9 @@ class LazyCovarianceIndex(SpatialIndex):
     first request, point by point.
 
     A point's covariance depends only on its k nearest neighbors in the
-    cloud, so each one equals what `estimate_covariances(cloud, k, epsilon)`
-    gives, bit for bit. A matcher that touches a fraction of the cloud
-    pays for that fraction only.
+    cloud, and the covariance kernel works row by row, so each one equals
+    what `estimate_covariances(cloud, k, epsilon)` gives, bit for bit. A
+    matcher that touches a fraction of the cloud pays for that fraction only.
     """
 
     __slots__ = ("_k", "_epsilon", "_covs", "_known", "_lock")
@@ -204,23 +204,75 @@ def _neighbor_covariances(index: SpatialIndex, ids, k: int) -> np.ndarray:
     _, nbrs = index.query(pts[ids], k=k)
     neigh = pts[nbrs]                               # (M, k, 3)
     centered = neigh - neigh.mean(axis=1, keepdims=True)
-    return np.einsum("nki,nkj->nij", centered, centered) / (k - 1)
+    return (centered.transpose(0, 2, 1) @ centered) / (k - 1)
+
+
+def _smallest_eigenvectors(a: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of the smallest eigenvalues of symmetric 3x3
+    matrices (upper triangles read), batched; every step works row by row.
+
+    With q = tr A / 3, B = A - q I, p = |B|_F / sqrt(6) and
+    r = det B / (2 p^3), the eigenvalues are q + 2p cos(acos(r)/3 + 2 pi j/3):
+    j = 0 the largest, j = 1 the smallest. That form is accurate for the
+    eigenvalue farther from the middle one, the smallest when r <= 0 and the
+    largest otherwise. Its eigenvector e is the largest cross product of two
+    rows of A - lambda I, or e_0 where they all vanish (A a multiple of I,
+    where `eigh` gives e_0 too). When e belongs to the largest eigenvalue,
+    n solves the 2x2 problem on the plane normal to e, so n stays accurate
+    to rounding over the eigengap where the two smallest eigenvalues (nearly)
+    coincide and the cubic's roots lose half their digits.
+    """
+    a00, a01, a02 = a[:, 0, 0], a[:, 0, 1], a[:, 0, 2]
+    a11, a12, a22 = a[:, 1, 1], a[:, 1, 2], a[:, 2, 2]
+    q = (a00 + a11 + a22) / 3.0
+    b00, b11, b22 = a00 - q, a11 - q, a22 - q
+    off = a01 * a01 + a02 * a02 + a12 * a12
+    p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * off) / 6.0)
+    det = b00 * (b11 * b22 - a12 * a12) - a01 * (a01 * b22 - a12 * a02)
+    det += a02 * (a01 * a12 - b11 * a02)
+    p3 = p * p * p
+    r = np.clip(np.divide(det, 2.0 * p3, out=np.zeros_like(p), where=p3 > 0.0), -1.0, 1.0)
+    low = r <= 0.0
+    lam = q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + np.where(low, 2.0 * math.pi / 3.0, 0.0))
+
+    # Matrices are (3, 3, M) and vectors (3, M) from here on.
+    m = np.array([[a00 - lam, a01, a02], [a01, a11 - lam, a12], [a02, a12, a22 - lam]])
+    cross = np.cross(m[[1, 2, 0]], m[[2, 0, 1]], axis=1)
+    cross_sq = (cross * cross).sum(axis=1)
+    best = cross_sq.argmax(axis=0)
+    at = np.arange(len(a))
+    e, e_sq = cross[best, :, at].T, cross_sq[best, at]
+    vanish = e_sq <= (1e-12 * (m * m).sum(axis=(0, 1))) ** 2
+    e[:, vanish], e_sq[vanish] = [[1.0], [0.0], [0.0]], 1.0
+    e /= np.sqrt(e_sq)
+
+    # Orthonormal u, v normal to e (Duff et al., JCGT 2017), then the 2x2
+    # problem [[u.Mu, u.Mv], [u.Mv, v.Mv]]: its larger eigenvector lies at
+    # angle phi from u, the smaller one at phi + pi/2.
+    s = np.copysign(1.0, e[2])
+    h = -1.0 / (s + e[2])
+    g = e[0] * e[1] * h
+    u = np.array([1.0 + s * e[0] * e[0] * h, s * g, -s * e[0]])
+    v = np.array([g, s + e[1] * e[1] * h, -e[1]])
+    mu, mv = (m * u).sum(axis=1), (m * v).sum(axis=1)
+    uv, uu_vv = (u * mv).sum(axis=0), (u * mu - v * mv).sum(axis=0)
+    phi = 0.5 * np.arctan2(2.0 * uv, uu_vv)
+    return np.where(low, e, np.cos(phi) * v - np.sin(phi) * u).T
 
 
 def _regularize(raw: np.ndarray, epsilon: float) -> np.ndarray:
-    """Eigenvalues of each covariance replaced by (epsilon, 1, 1) in ascending
-    order, eigenvectors kept."""
-    _, v = np.linalg.eigh(raw)                      # ascending eigenvalues
-    target = np.array([epsilon, 1.0, 1.0])
-    return np.einsum("nij,j,nkj->nik", v, target, v)
+    """I - (1 - epsilon) n n^T for each covariance, n its smallest eigenvector:
+    eigenvalues (epsilon, 1, 1), eigenvectors kept."""
+    n = _smallest_eigenvectors(raw)
+    return np.eye(3) - (1.0 - epsilon) * (n[:, :, None] * n[:, None, :])
 
 
 def estimate_covariances(cloud: PointCloud, k: int = 20, epsilon: float = 1e-3) -> PointCloud:
-    """Per-point GICP plane-to-plane covariances.
+    """Per-point GICP plane-to-plane covariances I - (1 - epsilon) n n^T.
 
-    Sample covariance over the k nearest neighbors, eigenvalues replaced
-    by (1, 1, epsilon) keeping eigenvector order (smallest direction gets
-    epsilon).
+    n is the smallest eigenvector of the sample covariance over the k
+    nearest neighbors, found in closed form (`_smallest_eigenvectors`), so
+    the plane normal gets epsilon and the in-plane directions 1.
     """
     _check_neighbor_count(cloud, k)
     raw = _neighbor_covariances(SpatialIndex(cloud), slice(None), k)

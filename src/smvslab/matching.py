@@ -5,20 +5,19 @@ d_i^T W_i d_i with d_i = b_i - T a_i and W_i = (C_i^B + R C_i^A R^T)^-1,
 the weight held fixed within one linearization. With q_i = T a_i and
 J_i = [skew(q_i) | -I], the normal equations are H = sum J_i^T W_i J_i and
 g = sum J_i^T W_i d_i. `linearize` builds H, g and the cost straight from
-W and q; the per-point local Hessians J_i^T W_i J_i, which sum to H, are
-built only when read.
+W and q and never forms the per-point local Hessians J_i^T W_i J_i, which
+sum to H; the linearization tests build those as an oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateLinearizationError, DivergenceError, ParameterError
 from .geometry import PointCloud, SpatialIndex
-from .se3 import PoseSE3, left_update, skew_batch
+from .se3 import PoseSE3, left_update
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,7 @@ def _fixed_cost(source_points, target_points, weights, pose) -> float:
 @dataclass
 class LinearSystem:
     """One linearization: the global normal equations, and the fixed
-    correspondences and weights that re-evaluate its cost at another pose
-    and build its per-point pieces on demand."""
+    correspondences and weights that re-evaluate its cost at another pose."""
 
     h_global: np.ndarray            # (6, 6)
     b_global: np.ndarray            # (6,)
@@ -58,21 +56,6 @@ class LinearSystem:
     def cost_at(self, pose: PoseSE3) -> float:
         """Cost at `pose` with correspondences and weights held fixed."""
         return _fixed_cost(self.source_points, self.target_points, self.weights, pose)
-
-    @cached_property
-    def matched_hessians(self) -> np.ndarray:
-        """(m, 6, 6) local Hessians J^T W J of the matched points."""
-        q = self.pose.apply(self.source_points)
-        eye = np.broadcast_to(np.eye(3), (len(q), 3, 3))
-        jd = np.concatenate([skew_batch(q), -eye], axis=2)
-        return jd.transpose(0, 2, 1) @ self.weights @ jd
-
-    @cached_property
-    def local_hessians(self) -> np.ndarray:
-        """(N, 6, 6) local Hessians; zero rows for unmatched points."""
-        out = np.zeros((len(self.correspondences), 6, 6))
-        out[self.correspondences >= 0] = self.matched_hessians
-        return out
 
 
 @dataclass

@@ -112,15 +112,3 @@ def skew(v) -> np.ndarray:
             [-v[1], v[0], 0.0],
         ]
     )
-
-
-def skew_batch(vs) -> np.ndarray:
-    vs = np.asarray(vs, dtype=np.float64).reshape(-1, 3)
-    out = np.zeros((len(vs), 3, 3))
-    out[:, 0, 1] = -vs[:, 2]
-    out[:, 0, 2] = vs[:, 1]
-    out[:, 1, 0] = vs[:, 2]
-    out[:, 1, 2] = -vs[:, 0]
-    out[:, 2, 0] = -vs[:, 1]
-    out[:, 2, 1] = vs[:, 0]
-    return out

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from local_hessians import local_hessians
 from smvslab.attacks import AttackSpec, AzimuthWindow, SpooferState, apply_injection, apply_removal, attack_dataset
 from smvslab.cli import dispatch
 from smvslab.geometry import AzimuthBinning, PointCloud, SpatialIndex, bin_center_angle
@@ -187,12 +188,13 @@ def test_criterion_1_linearization(capsys):
             e[k] = eps
             jac_fd[:, :, k] = (residuals(e) - residuals(-e)) / (2 * eps)
         h_fd = np.einsum("nij,nik->njk", jac_fd, jac_fd)
-        h_analytic = system.local_hessians[matched]
+        local = local_hessians(system)
+        h_analytic = local[matched]
         scale = max(np.abs(h_fd).max(), 1.0)
         worst_jac = max(worst_jac, np.abs(h_fd - h_analytic).max() / scale)
 
         # Global Hessian must equal the sum of the local ones.
-        total = system.local_hessians.sum(axis=0)
+        total = local.sum(axis=0)
         denom = max(np.abs(system.h_global).max(), 1.0)
         worst_sum = max(worst_sum, np.abs(total - system.h_global).max() / denom)
 

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
+from smvslab import geometry
 from smvslab.errors import ParameterError, QueryError, UndefinedAzimuthError
 from smvslab.geometry import (
     AzimuthBinning,
@@ -144,6 +148,71 @@ def test_estimate_covariances_eigvectors_from_raw():
         w, v = np.linalg.eigh(out.covariances[i])
         # Same eigenframe: the raw smallest direction carries epsilon.
         assert abs(v_raw[:, 0] @ v[:, 0]) == pytest.approx(1.0, abs=1e-6)
+
+
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+UNIT = st.floats(0.0, 1.0)
+
+
+def eigh_regularized(raw, epsilon):
+    """The covariance construction the closed form replaced: a full `eigh`,
+    eigenvalues set to (epsilon, 1, 1) in ascending order, eigenvectors kept."""
+    _, v = np.linalg.eigh(raw)
+    return np.einsum("nij,j,nkj->nik", v, np.array([epsilon, 1.0, 1.0]), v)
+
+
+@st.composite
+def psd_matrices(draw):
+    """Symmetric PSD 3x3 with eigenvalues scale * (t0, t1, 1) in a random frame."""
+    quat = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
+    rot = Rotation.from_quat(quat).as_matrix() if np.linalg.norm(quat) > 1e-3 else np.eye(3)
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    lam = scale * np.array([draw(UNIT), draw(UNIT), 1.0])
+    a = rot @ np.diag(lam) @ rot.T
+    return 0.5 * (a + a.T)
+
+
+@PROPERTY_SETTINGS
+@given(psd_matrices(), st.sampled_from([1e-3, 1e-2]))
+def test_smallest_eigenvector_kernel(a, epsilon):
+    n = geometry._smallest_eigenvectors(a[None])[0]
+    w = np.linalg.eigvalsh(a)
+    assert abs(np.linalg.norm(n) - 1.0) <= 1e-12
+    assert np.linalg.norm(a @ n - w[0] * n) <= 1e-9 * w[2]
+    cov = geometry._regularize(a[None], epsilon)[0]
+    assert np.abs(np.linalg.eigvalsh(cov) - [epsilon, 1.0, 1.0]).max() <= 1e-12
+    # Both constructions are accurate to rounding over the eigengap (eigh
+    # itself is off the exact eigenvector by ~2e-10 at a gap of 1e-6 w[2]),
+    # so they agree to 1e-10 where the gap is 1e-3 w[2] and widen below it.
+    gap = min(w[1] - w[0], w[2] - w[1])
+    if gap >= 1e-6 * w[2]:
+        oracle = eigh_regularized(a[None], epsilon)[0]
+        assert np.abs(cov - oracle).max() <= 1e-13 * w[2] / gap
+
+
+def test_covariances_of_degenerate_neighborhoods():
+    # Exact plane (smallest eigenvalue 0), line (two smallest equal),
+    # isotropic blob (all equal) and k coincident points (zero matrix).
+    grid = np.array([[i, j, 0.0] for i in range(4) for j in range(4)])
+    line = np.outer(np.arange(8.0), [1.0, 2.0, -0.5])
+    blob = np.vstack([np.eye(3), -np.eye(3)])
+    same = np.full((5, 3), 1.5)
+    epsilon = 1e-3
+    for pts, normal_to in ((grid, None), (line, [1.0, 2.0, -0.5]), (blob, None), (same, None)):
+        cov = estimate_covariances(PointCloud(pts), k=len(pts), epsilon=epsilon).covariances
+        assert np.isfinite(cov).all()
+        assert np.abs(np.linalg.eigvalsh(cov) - [epsilon, 1.0, 1.0]).max() <= 1e-12
+        if normal_to is not None:
+            # The line direction lies in the (1, 1) eigenspace.
+            d = np.array(normal_to) / np.linalg.norm(normal_to)
+            assert np.abs(cov @ d - d).max() <= 1e-12
+    plane = estimate_covariances(PointCloud(grid), k=len(grid), epsilon=epsilon).covariances
+    assert np.abs(plane - np.diag([1.0, 1.0, epsilon])).max() <= 1e-15
+    # A multiple of I has every direction as an eigenvector; like eigh,
+    # the kernel then returns e_0.
+    scalar = np.stack([np.zeros((3, 3)), 2.0 * np.eye(3)])
+    got = geometry._regularize(scalar, epsilon)
+    assert np.abs(got - eigh_regularized(scalar, epsilon)).max() <= 1e-15
 
 
 def test_lazy_covariances_equal_estimate_covariances():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from local_hessians import local_hessians, matched_hessians
 from smvslab.errors import DegenerateLinearizationError, ParameterError
 from smvslab.geometry import PointCloud, SpatialIndex, estimate_covariances
 from smvslab.matching import (
@@ -69,7 +70,7 @@ def test_gradient_matches_finite_differences():
 def test_global_hessian_is_sum_of_local():
     source, index = make_problem(3)
     system = linearize(source, index, PoseSE3.identity())
-    total = system.local_hessians.sum(axis=0)
+    total = local_hessians(system).sum(axis=0)
     assert np.allclose(total, system.h_global, rtol=1e-12, atol=1e-12)
 
 
@@ -78,7 +79,7 @@ def test_global_hessian_positive_semidefinite():
         source, index = make_problem(seed)
         system = linearize(source, index, PoseSE3.identity())
         assert np.linalg.eigvalsh(system.h_global)[0] > -1e-9
-        for h in system.local_hessians:
+        for h in local_hessians(system):
             assert np.linalg.eigvalsh(h)[0] > -1e-9
 
 
@@ -121,7 +122,7 @@ def test_unmatched_points_have_empty_rows():
     target = PointCloud([[0.1, 0.0, 0.0]], np.eye(3)[None])
     system = linearize(source, SpatialIndex(target), PoseSE3.identity(), 2.0)
     assert system.correspondences[1] == -1
-    assert np.all(system.local_hessians[1] == 0.0)
+    assert np.all(local_hessians(system)[1] == 0.0)
     assert system.num_correspondences == 1
 
 
@@ -317,12 +318,12 @@ def test_local_hessians_sum_to_global_and_are_psd(problem):
     except DegenerateLinearizationError:
         return
     ref = whitened_reference(source, index, pose)
-    local = system.local_hessians
+    local = local_hessians(system)
     scale = np.abs(system.h_global).max()
     assert np.abs(local.sum(axis=0) - system.h_global).max() <= 1e-12 * scale
     assert np.abs(local - ref.local).max() <= 1e-12 * scale
     matched = system.correspondences >= 0
-    assert np.array_equal(system.matched_hessians, local[matched])
+    assert np.array_equal(matched_hessians(system), local[matched])
     assert not local[~matched].any()
     for h in local[matched]:
         assert np.linalg.eigvalsh(h)[0] >= -1e-12 * np.abs(h).max()
