@@ -261,6 +261,14 @@ def _localize(ds, pipeline, origin, prior):
     return Trajectory(est.timestamps, [origin.compose(p) for p in est.poses]), statuses
 
 
+def _save_profile(out, profile):
+    """Write `smvs_profile.csv` and `smvs_skipped.csv`, one row per skipped
+    frame with its reason; the header is written even when none was skipped."""
+    profile.save_csv(os.path.join(out, "smvs_profile.csv"))
+    write_table(os.path.join(out, "smvs_skipped.csv"), "{},{}", profile.skipped,
+                header="frame_id,reason")
+
+
 def _place(profile, args):
     result = optimize_placement(profile, top_m=args.top_m, standoff=args.standoff)
     save_placement(
@@ -306,8 +314,7 @@ def _cmd_smvs(args, seed):
         benign = ds.ground_truth
     else:
         raise SmvslabError("no benign trajectory: pass --traj or provide groundtruth.txt")
-    profile = trajectory_smvs(ds, benign, cfg)
-    profile.save_csv(os.path.join(args.out, "smvs_profile.csv"))
+    _save_profile(args.out, trajectory_smvs(ds, benign, cfg))
 
 
 def _cmd_place(args, seed):
@@ -378,7 +385,7 @@ def _cmd_pipeline(args, seed):
     _save_run(out, "benign_", benign, statuses)
 
     profile = trajectory_smvs(ds, benign, cfg)
-    profile.save_csv(os.path.join(out, "smvs_profile.csv"))
+    _save_profile(out, profile)
 
     placement = _place(profile, args)
     position = choose_recommended(placement)

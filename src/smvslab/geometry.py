@@ -202,12 +202,18 @@ def _neighbor_covariances(index: SpatialIndex, ids, k: int) -> np.ndarray:
     """
     pts = index.cloud.points
     _, nbrs = index.query(pts[ids], k=k)
-    neigh = pts[nbrs]                               # (M, k, 3)
-    centered = neigh - neigh.mean(axis=1, keepdims=True)
+    centered = np.take(pts, nbrs, axis=0)           # (M, k, 3)
+    # The mean as `mean(axis=1)` forms it, neighbor by neighbor in order,
+    # without its slow strided reduction: the bits are the same.
+    mean = centered[:, 0].copy()
+    for j in range(1, k):
+        mean += centered[:, j]
+    mean /= k
+    centered -= mean[:, None]
     return (centered.transpose(0, 2, 1) @ centered) / (k - 1)
 
 
-def _smallest_eigenvectors(a: np.ndarray) -> np.ndarray:
+def smallest_eigenvectors(a: np.ndarray) -> np.ndarray:
     """Unit eigenvectors of the smallest eigenvalues of symmetric 3x3
     matrices (upper triangles read), batched; every step works row by row.
 
@@ -221,6 +227,9 @@ def _smallest_eigenvectors(a: np.ndarray) -> np.ndarray:
     n solves the 2x2 problem on the plane normal to e, so n stays accurate
     to rounding over the eigengap where the two smallest eigenvalues (nearly)
     coincide and the cubic's roots lose half their digits.
+
+    The kernel serves any symmetric 3x3, so the top eigenvectors of A are
+    `smallest_eigenvectors(-A)`; SMVS takes its local directions that way.
     """
     a00, a01, a02 = a[:, 0, 0], a[:, 0, 1], a[:, 0, 2]
     a11, a12, a22 = a[:, 1, 1], a[:, 1, 2], a[:, 2, 2]
@@ -263,7 +272,7 @@ def _smallest_eigenvectors(a: np.ndarray) -> np.ndarray:
 def _regularize(raw: np.ndarray, epsilon: float) -> np.ndarray:
     """I - (1 - epsilon) n n^T for each covariance, n its smallest eigenvector:
     eigenvalues (epsilon, 1, 1), eigenvectors kept."""
-    n = _smallest_eigenvectors(raw)
+    n = smallest_eigenvectors(raw)
     return np.eye(3) - (1.0 - epsilon) * (n[:, :, None] * n[:, None, :])
 
 
@@ -271,7 +280,7 @@ def estimate_covariances(cloud: PointCloud, k: int = 20, epsilon: float = 1e-3) 
     """Per-point GICP plane-to-plane covariances I - (1 - epsilon) n n^T.
 
     n is the smallest eigenvector of the sample covariance over the k
-    nearest neighbors, found in closed form (`_smallest_eigenvectors`), so
+    nearest neighbors, found in closed form (`smallest_eigenvectors`), so
     the plane normal gets epsilon and the in-plane directions 1.
     """
     _check_neighbor_count(cloud, k)

@@ -101,14 +101,3 @@ def exp_twist(delta) -> PoseSE3:
 def left_update(pose: PoseSE3, delta) -> PoseSE3:
     """T <- Exp(delta) * T."""
     return exp_twist(delta).compose(pose)
-
-
-def skew(v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64).reshape(3)
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )

@@ -7,7 +7,8 @@ x_min_global is the eigenvector of the smallest eigenvalue of the global
 of the point's local Hessian J^T W J, J = [skew(q) | -I]. That Hessian has
 rank 3, so x_max_local comes from a 3x3 problem: with M = J J^T =
 (1+|q|^2) I - q q^T and u the top eigenvector of M^1/2 W M^1/2, it is
-v = J^T M^-1/2 u = [w x q ; -w] with w = M^-1/2 u, a unit vector. The
+v = J^T M^-1/2 u = [w x q ; -w] with w = M^-1/2 u, a unit vector, and u
+comes from the closed-form 3x3 kernel `geometry.smallest_eigenvectors`. The
 frame-wise score sums azimuth-region importance mass weighted by
 f(d_k) = -d_k + d_th with circular region distance d_k.
 """
@@ -28,6 +29,7 @@ from .geometry import (
     SpatialIndex,
     azimuth_bins,
     estimate_covariances,
+    smallest_eigenvectors,
 )
 from .matching import linearize
 from .pipelines import GICP
@@ -148,11 +150,15 @@ def _local_directions(q, weights):
 
     q (m, 3) are the matched points at the linearization pose and W
     (m, 3, 3) their weights. The top eigenvector of the rank-3 local
-    Hessian J^T W J is v = J^T w = [w x q ; -w], of unit norm.
+    Hessian J^T W J is v = J^T w = [w x q ; -w], of unit norm. u is the
+    smallest eigenvector of -M^1/2 W M^1/2, from the closed-form kernel
+    that GICP's covariances use; its sign is arbitrary, which importance,
+    an absolute value, ignores. Where M^1/2 W M^1/2 is exactly a multiple
+    of I the top direction is undefined and the kernel returns e_0.
     """
     half = _matrix_power(q, 0.5)
-    u = np.linalg.eigh(half @ weights @ half)[1][:, :, -1:]
-    return (_matrix_power(q, -0.5) @ u)[:, :, 0]
+    u = smallest_eigenvectors(-(half @ weights @ half))
+    return (_matrix_power(q, -0.5) @ u[:, :, None])[:, :, 0]
 
 
 def pointwise_smvs(source: PointCloud, target) -> ImportanceCloud:

@@ -1,5 +1,6 @@
 """Per-point local Hessians of a linearization, the oracle that the
-linearization tests check `matching.linearize` against.
+linearization tests check `matching.linearize` against, and the skew
+matrices they are built from.
 
 With q = T a the matched source point at the linearization pose and
 J = [skew(q) | -I], a matched point's local Hessian is J^T W J; the local
@@ -7,6 +8,18 @@ Hessians sum to the global H that `linearize` builds without forming them.
 """
 
 import numpy as np
+
+
+def skew(v) -> np.ndarray:
+    """3x3 skew matrix S with S w = v x w."""
+    v = np.asarray(v, dtype=np.float64).reshape(3)
+    return np.array(
+        [
+            [0.0, -v[2], v[1]],
+            [v[2], 0.0, -v[0]],
+            [-v[1], v[0], 0.0],
+        ]
+    )
 
 
 def skew_batch(vs) -> np.ndarray:

@@ -8,8 +8,8 @@ import pytest
 
 import smvslab
 from smvslab.cli import build_parser, dispatch
-from smvslab.datasets import load_dataset
-from smvslab.geometry import AzimuthBinning
+from smvslab.datasets import FrameDataset, load_dataset, save_dataset
+from smvslab.geometry import AzimuthBinning, PointCloud
 from smvslab.placement import optimize_placement
 from smvslab.smvs import SmvsProfile, load_profile_csv
 from smvslab.textio import read_manifest
@@ -184,6 +184,25 @@ def test_smvs_and_place_chain(tmp_path):
     assert (place_dir / "intersections.csv").exists()
 
 
+def test_smvs_writes_skipped_frames(tmp_path):
+    scene_dir = tmp_path / "scene"
+    smvs_dir = tmp_path / "smvs"
+    assert run(scene_args(scene_dir)) == 0
+    ds = load_dataset(scene_dir)
+    frames = list(ds.frames)
+    frames[4] = PointCloud(frames[4].points[:3])
+    save_dataset(FrameDataset(frames, ds.timestamps, ds.ground_truth), scene_dir)
+    assert run(
+        ["smvs", "--dataset", str(scene_dir), "--out", str(smvs_dir), "--seed", "5"]
+    ) == 0
+    skipped = (smvs_dir / "smvs_skipped.csv").read_text().splitlines()
+    assert skipped == [
+        "frame_id,reason", "4,frame 4 too sparse for covariance estimation",
+    ]
+    profile = load_profile_csv(smvs_dir / "smvs_profile.csv")
+    assert [e.frame_id for e in profile.entries] == [i for i in range(20) if i != 4]
+
+
 def test_attack_command_writes_attacked_dataset(tmp_path):
     scene_dir = tmp_path / "scene"
     atk_dir = tmp_path / "atk"
@@ -278,7 +297,7 @@ def test_pipeline_writes_full_tree(tmp_path, pipeline):
     ) == 0
     expected = {
         "dataset", "attacked_dataset", "benign_trajectory.txt", "benign_frames.csv",
-        "attacked_trajectory.txt", "attacked_frames.csv", "smvs_profile.csv",
+        "attacked_trajectory.txt", "attacked_frames.csv", "smvs_profile.csv", "smvs_skipped.csv",
         "placement.txt", "intersections.csv", "metrics.csv", "runs.csv",
         "bucket_table.csv", "manifest.txt",
     }

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from smvslab import geometry
+from smvslab import geometry, smvs
 from smvslab.errors import ParameterError, QueryError, UndefinedAzimuthError
 from smvslab.geometry import (
     AzimuthBinning,
@@ -175,7 +175,7 @@ def psd_matrices(draw):
 @PROPERTY_SETTINGS
 @given(psd_matrices(), st.sampled_from([1e-3, 1e-2]))
 def test_smallest_eigenvector_kernel(a, epsilon):
-    n = geometry._smallest_eigenvectors(a[None])[0]
+    n = geometry.smallest_eigenvectors(a[None])[0]
     w = np.linalg.eigvalsh(a)
     assert abs(np.linalg.norm(n) - 1.0) <= 1e-12
     assert np.linalg.norm(a @ n - w[0] * n) <= 1e-9 * w[2]
@@ -188,6 +188,47 @@ def test_smallest_eigenvector_kernel(a, epsilon):
     if gap >= 1e-6 * w[2]:
         oracle = eigh_regularized(a[None], epsilon)[0]
         assert np.abs(cov - oracle).max() <= 1e-13 * w[2] / gap
+
+
+@PROPERTY_SETTINGS
+@given(psd_matrices())
+def test_top_eigenvector_from_negated_matrix(a):
+    # SMVS takes top eigenvectors as the smallest ones of -A.
+    u = geometry.smallest_eigenvectors(-a[None])[0]
+    w, v = np.linalg.eigh(a)
+    assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+    assert np.linalg.norm(a @ u - w[2] * u) <= 1e-9 * w[2]
+    if w[2] - w[1] >= 1e-6 * w[2]:
+        assert min(np.linalg.norm(u - v[:, 2]), np.linalg.norm(u + v[:, 2])) <= 1e-9
+
+
+def test_top_eigenvector_without_a_unique_top_direction():
+    rot = Rotation.from_rotvec([0.3, -1.1, 0.7]).as_matrix()
+    repeated = rot @ np.diag([1.0, 3.0, 3.0]) @ rot.T
+    scalar = 2.5 * np.eye(3)
+    for a in (repeated, scalar):
+        u = geometry.smallest_eigenvectors(-a[None])[0]
+        assert np.isfinite(u).all()
+        assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+        assert np.linalg.norm(a @ u - np.linalg.eigvalsh(a)[2] * u) <= 1e-12
+    # q = 0 and W = I make M^1/2 W M^1/2 = I: every direction is on top.
+    w = smvs._local_directions(np.zeros((1, 3)), np.eye(3)[None])[0]
+    assert np.isfinite(w).all()
+    assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([4, 7, 20]))
+def test_neighbor_covariances_equal_fancy_index_mean(seed, k):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(int(rng.integers(k, 400)), 3)) * rng.uniform(0.01, 50.0, 3)
+    index = SpatialIndex(PointCloud(pts + rng.uniform(-1e3, 1e3, 3)))
+    for ids in (slice(None), rng.integers(0, len(pts), 25)):
+        p = index.cloud.points
+        neigh = p[index.query(p[ids], k=k)[1]]
+        centered = neigh - neigh.mean(axis=1, keepdims=True)
+        expected = (centered.transpose(0, 2, 1) @ centered) / (k - 1)
+        assert np.array_equal(geometry._neighbor_covariances(index, ids, k), expected)
 
 
 def test_covariances_of_degenerate_neighborhoods():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from local_hessians import local_hessians, matched_hessians
+from local_hessians import local_hessians, matched_hessians, skew
 from smvslab.errors import DegenerateLinearizationError, ParameterError
 from smvslab.geometry import PointCloud, SpatialIndex, estimate_covariances
 from smvslab.matching import (
@@ -185,10 +185,6 @@ def test_gauss_newton_empty_inputs():
         gauss_newton_align(empty, cloud)
     with pytest.raises(ParameterError):
         gauss_newton_align(cloud, empty)
-
-
-def skew(v):
-    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
 
 
 def whitened_reference(source, index, pose, max_corr_dist=2.0):

@@ -3,8 +3,8 @@ import pytest
 from scipy.linalg import expm
 
 from smvslab.errors import ParameterError
-from local_hessians import skew_batch
-from smvslab.se3 import PoseSE3, exp_twist, left_update, skew
+from local_hessians import skew, skew_batch
+from smvslab.se3 import PoseSE3, exp_twist, left_update
 
 
 def random_pose(rng):

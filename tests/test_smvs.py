@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from local_hessians import skew
 from smvslab import geometry
 from smvslab.errors import AnalysisError, ParameterError
 from smvslab.geometry import (
@@ -159,8 +160,7 @@ def test_local_direction_is_top_eigenvector_of_local_hessian(problem):
     q, weight = problem
     w = _local_directions(q[None], weight[None])[0]
     v = np.concatenate([np.cross(w, q), -w])
-    skew = np.array([[0, -q[2], q[1]], [q[2], 0, -q[0]], [-q[1], q[0], 0]])
-    jac = np.hstack([skew, -np.eye(3)])
+    jac = np.hstack([skew(q), -np.eye(3)])
     hessian = jac.T @ weight @ jac
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
     lam = np.linalg.eigvalsh(hessian)
