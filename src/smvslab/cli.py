@@ -318,10 +318,7 @@ def _cmd_smvs(args, seed):
 
 
 def _cmd_place(args, seed):
-    profile = load_profile_csv(args.profile)
-    if len(profile) < 2:
-        raise SmvslabError("need >= 2 frames in the SMVS profile")
-    _place(profile, args)
+    _place(load_profile_csv(args.profile), args)
 
 
 def _cmd_attack(args, seed):

@@ -41,9 +41,9 @@ def load_dataset(in_dir) -> FrameDataset:
         raise ParameterError(f"no .xyz frames found in {in_dir}")
     frames = [load_xyz(os.path.join(in_dir, n)) for n in names]
     gt_path = os.path.join(in_dir, "groundtruth.txt")
-    ground_truth = Trajectory.load(gt_path) if os.path.exists(gt_path) else None
-    if ground_truth is not None and len(ground_truth) == len(frames):
-        timestamps = list(ground_truth.timestamps)
-    else:
-        timestamps = [float(i) for i in range(len(frames))]
-    return FrameDataset(frames, timestamps, ground_truth)
+    if not os.path.exists(gt_path):
+        return FrameDataset(frames, [float(i) for i in range(len(frames))])
+    ground_truth = Trajectory.load(gt_path)
+    if len(ground_truth) != len(frames):
+        raise ParameterError(f"{gt_path}: {len(ground_truth)} poses for {len(frames)} frames")
+    return FrameDataset(frames, list(ground_truth.timestamps), ground_truth)

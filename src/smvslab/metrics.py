@@ -87,14 +87,15 @@ def ape(est: Trajectory, ref: Trajectory, align_first_pose: bool = True) -> ApeS
 
 
 def rpe(est: Trajectory, ref: Trajectory, delta: int = 1) -> RpeStats:
-    """Relative pose error over a fixed frame delta."""
-    n = min(len(est), len(ref))
-    if n < delta + 1:
-        raise ParameterError(f"trajectories too short for delta={delta}")
+    """Relative pose error over a fixed step of `delta` pose pairs, the
+    pairs associated by timestamp as in `ape`."""
+    pairs = _associate(est, ref)
+    if delta < 1 or len(pairs) < delta + 1:
+        raise ParameterError(f"need delta >= 1 and more than delta={delta} associated poses")
     trans, rot = [], []
-    for i in range(n - delta):
-        rel_est = est.poses[i].inverse().compose(est.poses[i + delta])
-        rel_ref = ref.poses[i].inverse().compose(ref.poses[i + delta])
+    for (i, j), (k, l) in zip(pairs, pairs[delta:]):
+        rel_est = est.poses[i].inverse().compose(est.poses[k])
+        rel_ref = ref.poses[j].inverse().compose(ref.poses[l])
         err = rel_ref.inverse().compose(rel_est)
         trans.append(np.linalg.norm(err.translation))
         rot.append(math.degrees(rel_est.rotation_angle_to(rel_ref)))

@@ -1,6 +1,8 @@
-"""Spoofer placement from an SMVS profile: half-line casting, forward
-intersections, 2-sigma outlier rejection and the perpendicular placement
-line through the bounding-box center."""
+"""Spoofer placement from an SMVS profile, in one pass over arrays: cast
+a half-line from each top frame toward its peak-score region, intersect
+them pairwise (forward of both origins), drop points beyond 2 sigma, and
+place the spoofer on the line through the bounding-box center that is
+perpendicular to the trajectory."""
 
 from __future__ import annotations
 
@@ -15,17 +17,6 @@ from .smvs import SmvsProfile
 from .textio import write_table
 
 STANDOFF_BOUNDS = (10.0, 15.0)          # meters; the requested standoff is clamped
-
-
-@dataclass(frozen=True)
-class HalfLine2D:
-    origin: tuple[float, float]
-    direction: tuple[float, float]
-
-    def __post_init__(self):
-        norm = math.hypot(*self.direction)
-        if abs(norm - 1.0) > 1e-12:
-            raise ParameterError("direction must be a unit vector")
 
 
 @dataclass
@@ -49,48 +40,41 @@ def top_frames(profile: SmvsProfile, top_m: int):
     return entries[: min(top_m, len(entries))]
 
 
-def critical_directions(profile: SmvsProfile, top_m: int) -> list[HalfLine2D]:
-    """One half-line per top frame, from its world position toward the
-    world-frame azimuth of the peak-score region's bin center."""
+def critical_directions(profile: SmvsProfile, top_m: int) -> tuple[np.ndarray, np.ndarray]:
+    """One half-line per top frame, as (origins, directions) (m, 2) arrays:
+    from the frame's world position toward the world-frame azimuth of the
+    peak-score region's bin center."""
     if len(profile) < 2:
         raise ParameterError("need a profile with at least 2 frames")
     if top_m < 2:
         raise ParameterError("top_m must be >= 2")
-    lines = []
-    for entry in top_frames(profile, top_m):
-        local = bin_center_angle(entry.smvs.k_center, profile.binning)
-        world = entry.pose.yaw() + local
-        origin = (float(entry.pose.translation[0]), float(entry.pose.translation[1]))
-        lines.append(
-            HalfLine2D(origin=origin, direction=(math.cos(world), math.sin(world)))
-        )
-    return lines
+    entries = top_frames(profile, top_m)
+    origins = np.array([e.pose.translation[:2] for e in entries], dtype=np.float64)
+    world = [e.pose.yaw() + bin_center_angle(e.smvs.k_center, profile.binning) for e in entries]
+    directions = np.array([(math.cos(w), math.sin(w)) for w in world])
+    return origins, directions
 
 
-def intersect_halflines(lines: list[HalfLine2D]) -> np.ndarray:
+def intersect_halflines(origins: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """All pairwise intersections lying forward of both origins."""
-    if len(lines) < 2:
+    if len(origins) < 2:
         raise ParameterError("need at least 2 half-lines")
-    origins = np.array([l.origin for l in lines], dtype=np.float64)
-    directions = np.array([l.direction for l in lines], dtype=np.float64)
-    a, b = np.triu_indices(len(lines), k=1)         # pairs a < b, row-major order
+    a, b = np.triu_indices(len(origins), k=1)       # pairs a < b, row-major order
     o1, d1 = origins[a], directions[a]
     o2, d2 = origins[b], directions[b]
     cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
     diff = o2 - o1
-    with np.errstate(divide="ignore", invalid="ignore"):   # parallel pairs
+    # (Near-)parallel pairs divide by a tiny or zero cross; the mask drops them.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t1 = (diff[:, 0] * d2[:, 1] - diff[:, 1] * d2[:, 0]) / cross
         t2 = (diff[:, 0] * d1[:, 1] - diff[:, 1] * d1[:, 0]) / cross
     forward = (np.abs(cross) >= 1e-9) & (t1 >= 0) & (t2 >= 0)
     return o1[forward] + t1[forward, None] * d1[forward]
 
 
-def filter_outliers(points) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Keep points within +-2 sigma of the per-axis mean.
-
-    Returns (kept, bbox_min, bbox_max, center). A zero-sigma axis keeps
-    everything on that axis.
-    """
+def filter_outliers(points) -> np.ndarray:
+    """The points within +-2 sigma of the per-axis mean. A zero-sigma axis
+    keeps everything on that axis."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     if len(pts) < 1:
         raise ParameterError("need at least 1 intersection point")
@@ -100,11 +84,7 @@ def filter_outliers(points) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     for axis in range(2):
         if sigma[axis] > 0:
             keep &= np.abs(pts[:, axis] - mu[axis]) <= 2.0 * sigma[axis]
-    kept = pts[keep]
-    bbox_min = kept.min(axis=0)
-    bbox_max = kept.max(axis=0)
-    center = 0.5 * (bbox_min + bbox_max)
-    return kept, bbox_min, bbox_max, center
+    return pts[keep]
 
 
 def fit_direction(points) -> tuple[np.ndarray, np.ndarray]:
@@ -122,67 +102,45 @@ def fit_direction(points) -> tuple[np.ndarray, np.ndarray]:
     return mean, direction
 
 
-def placement_line(
-    center,
-    profile: SmvsProfile,
-    top_m: int,
-    standoff: float,
-    kept_points,
-) -> PlacementResult:
-    """Placement line through the center, perpendicular to the trajectory
-    fitted over the top-m frames; two recommended positions at the clamped
-    standoff on either side. The bounding box is that of the (non-empty)
-    `kept_points`."""
-    entries = top_frames(profile, top_m)
-    if len(entries) < 2:
-        raise ParameterError("need at least 2 frames for the trajectory fit")
-    positions = np.array([e.pose.translation[:2] for e in entries])
-    traj_point, traj_dir = fit_direction(positions)
-
-    center = np.asarray(center, dtype=np.float64).reshape(2)
-    perp = np.array([-traj_dir[1], traj_dir[0]])
-    # Project the bounding-box center onto the fitted trajectory line.
-    along = (center - traj_point) @ traj_dir
-    intersection = traj_point + along * traj_dir
-
-    s = float(np.clip(standoff, *STANDOFF_BOUNDS))
-    recommended = np.stack([intersection + s * perp, intersection - s * perp])
-
-    kept = np.asarray(kept_points, dtype=np.float64).reshape(-1, 2)
-    return PlacementResult(
-        kept_points=kept,
-        bbox_min=kept.min(axis=0),
-        bbox_max=kept.max(axis=0),
-        center=center,
-        trajectory_direction=traj_dir,
-        placement_direction=perp,
-        line_intersection=intersection,
-        standoff=s,
-        recommended=recommended,
-    )
-
-
 def optimize_placement(
     profile: SmvsProfile,
     top_m: int = 10,
     standoff: float = 12.5,
 ) -> PlacementResult:
-    """Full placement chain: directions -> intersections -> filter -> line."""
-    lines = critical_directions(profile, top_m)
-    points = intersect_halflines(lines)
+    """Placement from the top-m frames in one pass.
+
+    The half-lines' forward crossings are filtered to +-2 sigma; their
+    bounding-box center is projected onto the trajectory fitted through
+    the half-line origins (the top frames' positions), and the two
+    recommended positions sit at the clamped standoff on either side of
+    that point, perpendicular to the trajectory.
+    """
+    origins, directions = critical_directions(profile, top_m)
+    points = intersect_halflines(origins, directions)
     if len(points) == 0:
         # No forward crossings: fall back to the half-line origins' spread
         # so a placement still exists for near-parallel direction sets.
-        points = np.array([l.origin for l in lines]) + standoff * np.array(
-            [l.direction for l in lines]
-        )
-    kept, _, _, center = filter_outliers(points)
-    return placement_line(
-        center,
-        profile,
-        top_m=top_m,
-        standoff=standoff,
+        points = origins + standoff * directions
+    kept = filter_outliers(points)
+    bbox_min = kept.min(axis=0)
+    bbox_max = kept.max(axis=0)
+    center = 0.5 * (bbox_min + bbox_max)
+
+    traj_point, traj_dir = fit_direction(origins)
+    perp = np.array([-traj_dir[1], traj_dir[0]])
+    along = (center - traj_point) @ traj_dir
+    intersection = traj_point + along * traj_dir
+    s = float(np.clip(standoff, *STANDOFF_BOUNDS))
+    return PlacementResult(
         kept_points=kept,
+        bbox_min=bbox_min,
+        bbox_max=bbox_max,
+        center=center,
+        trajectory_direction=traj_dir,
+        placement_direction=perp,
+        line_intersection=intersection,
+        standoff=s,
+        recommended=np.stack([intersection + s * perp, intersection - s * perp]),
     )
 
 

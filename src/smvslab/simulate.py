@@ -14,6 +14,10 @@ from .geometry import PointCloud
 from .se3 import PoseSE3
 from .trajectory import Trajectory
 
+WIDTH = 12.0                # meters between the corridor walls
+WALL_HEIGHT = 5.0           # meters
+SENSOR_HEIGHT = 1.5         # meters above the ground plane
+
 
 @dataclass(frozen=True)
 class SensorModel:
@@ -79,12 +83,8 @@ class Scene:
 
 @dataclass(frozen=True)
 class SceneSpec:
-    archetype: str = "custom"               # custom | canyon | open-wall | mixed
+    archetype: str                          # canyon | open-wall | mixed
     length: float = 100.0
-    width: float = 12.0
-    wall_height: float = 5.0
-    ground: bool = True
-    patches: tuple[Patch, ...] = ()
 
 
 def _wall_x_span(x0, x1, y, height) -> Patch:
@@ -129,21 +129,13 @@ def open_corner_patches(x0, x1, y, height, return_depth=8.0) -> list[Patch]:
 
 
 def build_scene(spec: SceneSpec) -> Scene:
-    """Deterministic scene construction from an archetype or explicit patches."""
-    if spec.archetype == "custom":
-        if not spec.patches:
-            raise ParameterError("custom scene needs at least one patch")
-        return Scene(tuple(spec.patches), ground=spec.ground)
+    """Deterministic scene construction from an archetype, over ground."""
     if spec.archetype == "canyon":
-        patches = canyon_patches(spec.length, spec.width, spec.wall_height)
-        return Scene(tuple(patches), ground=spec.ground)
+        return Scene(tuple(canyon_patches(spec.length, WIDTH, WALL_HEIGHT)))
     if spec.archetype == "open-wall":
-        patches = open_corner_patches(
-            0.0, spec.length, -spec.width, spec.wall_height
-        )
-        return Scene(tuple(patches), ground=spec.ground)
+        return Scene(tuple(open_corner_patches(0.0, spec.length, -WIDTH, WALL_HEIGHT)))
     if spec.archetype == "mixed":
-        return mixed_course_scene(spec)
+        return mixed_course_scene()
     raise ParameterError(f"unknown archetype {spec.archetype!r}")
 
 
@@ -152,7 +144,7 @@ MIXED_STUB_POSITIONS = (
 )
 
 
-def mixed_course_scene(spec: SceneSpec | None = None) -> Scene:
+def mixed_course_scene() -> Scene:
     """Course with a structured canyon segment followed by an open segment
     holding a single dominant corner cluster.
 
@@ -161,14 +153,11 @@ def mixed_course_scene(spec: SceneSpec | None = None) -> Scene:
     x in [30, 38], y = -10. Scan matching is well-constrained inside the
     canyon and hangs on the single cluster in the open segment.
     """
-    spec = spec or SceneSpec(archetype="mixed")
-    h = spec.wall_height
-    w = spec.width
     patches = []
-    patches += canyon_patches(34.0, w, h, x0=-10.0)
-    patches += staggered_stub_patches(MIXED_STUB_POSITIONS, w, h, depth=1.5)
-    patches += open_corner_patches(30.0, 38.0, -10.0, h, return_depth=6.0)
-    return Scene(tuple(patches), ground=spec.ground)
+    patches += canyon_patches(34.0, WIDTH, WALL_HEIGHT, x0=-10.0)
+    patches += staggered_stub_patches(MIXED_STUB_POSITIONS, WIDTH, WALL_HEIGHT, depth=1.5)
+    patches += open_corner_patches(30.0, 38.0, -10.0, WALL_HEIGHT, return_depth=6.0)
+    return Scene(tuple(patches))
 
 
 @dataclass(frozen=True)
@@ -176,7 +165,6 @@ class TrajectorySpec:
     waypoints: tuple[tuple[float, float], ...]
     speed: float = 5.0
     frame_rate: float = 10.0
-    sensor_height: float = 1.5
 
     def __post_init__(self):
         if len(self.waypoints) < 2:
@@ -206,7 +194,7 @@ def _polyline_poses(spec: TrajectorySpec) -> list[PoseSE3]:
         xy = wps[j] + frac * seg[j]
         yaw = math.atan2(seg[j][1], seg[j][0])
         poses.append(
-            PoseSE3.from_rpy(0.0, 0.0, yaw, (xy[0], xy[1], spec.sensor_height))
+            PoseSE3.from_rpy(0.0, 0.0, yaw, (xy[0], xy[1], SENSOR_HEIGHT))
         )
     return poses
 

@@ -86,13 +86,18 @@ def test_smvs_bad_d_th_exits_1_before_any_frame(tmp_path, capsys, monkeypatch):
     (["scene", "--config", "nope.cfg"], {}),
     (["scene"], {"SMVSLAB_SEED": "abc"}),
     (["localize", "--dataset", ".", "--map", "000000.xyz", "--init-traj", "empty.txt"], {}),
+    (["place", "--profile", "profile.csv"], {}),
 ], ids=["missing-dataset", "missing-trajectory", "missing-config", "bad-seed-env",
-        "empty-init-trajectory"])
+        "empty-init-trajectory", "one-frame-profile"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv, env):
-    # A one-frame dataset (the frame doubles as the map) and a trajectory
-    # file with no poses.
+    # A one-frame dataset (the frame doubles as the map), a trajectory
+    # file with no poses and a one-frame SMVS profile.
     (tmp_path / "000000.xyz").write_text("0.0 0.0 0.0\n1.0 0.0 0.0\n")
     (tmp_path / "empty.txt").write_text("# timestamp tx ty tz qx qy qz qw\n")
+    (tmp_path / "profile.csv").write_text(
+        "frame_id,timestamp,smvs,k_center,tx,ty,tz,qx,qy,qz,qw,n_regions,degenerate\n"
+        "0,0.0,-100.0,40,0.0,0.0,0.0,0.0,0.0,0.0,1.0,72,0\n"
+    )
     src = os.path.dirname(os.path.dirname(smvslab.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "smvslab.cli", *argv, "--out", str(tmp_path / "out")],

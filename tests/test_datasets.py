@@ -46,6 +46,14 @@ def test_load_dataset_without_ground_truth(tmp_path):
     assert back.timestamps == [0.0, 1.0, 2.0]
 
 
+def test_load_dataset_rejects_ground_truth_length_mismatch(tmp_path):
+    save_dataset(sample_dataset(), tmp_path)
+    (tmp_path / "000002.xyz").unlink()
+    gt_path = tmp_path / "groundtruth.txt"
+    with pytest.raises(ParameterError, match=f"^{re.escape(str(gt_path))}: 3 poses for 2 frames$"):
+        load_dataset(tmp_path)
+
+
 def test_load_dataset_empty_dir(tmp_path):
     with pytest.raises(ParameterError):
         load_dataset(tmp_path)

@@ -101,10 +101,25 @@ def test_rpe_constant_offset_is_zero():
     assert stats.rot_max_deg == pytest.approx(0.0, abs=1e-9)
 
 
+def test_rpe_pairs_poses_by_timestamp():
+    # The estimate skips the reference's second pose; pairing by index would
+    # compare a 2 m step against a 1 m one.
+    ref = Trajectory(
+        [0.0, 0.1, 0.2, 0.3], [PoseSE3.from_rpy(0, 0, 0, (i, 0.0, 0.0)) for i in range(4)]
+    )
+    est = Trajectory([0.0, 0.2, 0.3], [ref.poses[i] for i in (0, 2, 3)])
+    assert ape(est, ref).rmse == 0.0
+    stats = rpe(est, ref)
+    assert stats.max == 0.0
+    assert stats.count == 2
+
+
 def test_rpe_too_short():
     t = random_trajectory(8, n=3)
     with pytest.raises(ParameterError):
         rpe(t, t, delta=5)
+    with pytest.raises(ParameterError):
+        rpe(t, t, delta=0)
 
 
 def test_bucket_index_edges():
