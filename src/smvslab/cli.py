@@ -78,7 +78,9 @@ def _add_common(p):
 def _add_course(p):
     p.add_argument("--archetype", default="mixed",
                    choices=["canyon", "open-wall", "mixed"])
-    p.add_argument("--length", type=float, default=48.0)
+    p.add_argument("--length", type=float, default=48.0,
+                   help="drive length, m; also the walls' length, except for mixed, "
+                        "whose fixed course ends at x = 38 m")
     p.add_argument("--speed", type=float, default=6.0)
     p.add_argument("--rate", type=float, default=10.0)
 
@@ -361,7 +363,12 @@ def _cmd_report(args, seed):
         RunRecord(smvs=s, model=r[1], ape_m=ape_m, ape_deg=ape_deg)
         for (s,), r, (ape_m, ape_deg) in zip(smvs.tolist(), rows, apes.tolist())
     ]
-    edges = tuple(float(v) for v in args.edges.split(","))
+    try:
+        edges = tuple(float(v) for v in args.edges.split(","))
+    except ValueError:
+        raise ParameterError(
+            f"--edges {args.edges!r} is not a comma-separated list of numbers"
+        ) from None
     table = bucket_report(runs, edges)
     table.save_csv(os.path.join(args.out, "bucket_table.csv"))
 

@@ -29,33 +29,21 @@ class MatcherConfig:
     max_damping_retries: int = 8
 
 
-def _fixed_cost(source_points, target_points, weights, pose) -> float:
-    """sum d^T W d with d = b - T a, for matched points and their weights."""
-    d = target_points - pose.apply(source_points)
-    return float(np.einsum("ni,ni->", d, np.einsum("nij,nj->ni", weights, d)))
-
-
 @dataclass
 class LinearSystem:
     """One linearization: the global normal equations, and the fixed
-    correspondences and weights that re-evaluate its cost at another pose."""
+    correspondences, weights and matched points they were built from."""
 
     h_global: np.ndarray            # (6, 6)
     b_global: np.ndarray            # (6,)
     correspondences: np.ndarray     # (N,) target ids, -1 where unmatched
     cost: float
     weights: np.ndarray             # (m, 3, 3), matched rows only
-    pose: PoseSE3                   # the linearization pose
-    source_points: np.ndarray       # (m, 3) matched source points, source frame
-    target_points: np.ndarray       # (m, 3) their targets
+    points: np.ndarray              # (m, 3) matched source points q = T a at the pose
 
     @property
     def num_correspondences(self) -> int:
         return len(self.weights)
-
-    def cost_at(self, pose: PoseSE3) -> float:
-        """Cost at `pose` with correspondences and weights held fixed."""
-        return _fixed_cost(self.source_points, self.target_points, self.weights, pose)
 
 
 @dataclass
@@ -157,9 +145,7 @@ def linearize(
         correspondences=ids,
         cost=float(np.einsum("ni,ni->", d, wd)),
         weights=weights,
-        pose=pose,
-        source_points=source.points[matched],
-        target_points=b_pts,
+        points=q,
     )
 
 
@@ -176,26 +162,19 @@ def matching_cost(
     order the matched points appear in the source cloud.
     """
     matched = correspondences >= 0
-    return _fixed_cost(
-        source.points[matched], target.points[correspondences[matched]], weights, pose
-    )
+    d = target.points[correspondences[matched]] - pose.apply(source.points[matched])
+    return float(np.einsum("ni,ni->", d, np.einsum("nij,nj->ni", weights, d)))
 
 
-def gauss_newton_align(
-    source: PointCloud,
-    target,
-    init: PoseSE3 | None = None,
-) -> MatchResult:
-    """Iterate linearize + damped solve until the update norm converges.
+def gauss_newton_align(source: PointCloud, index: SpatialIndex, init: PoseSE3) -> MatchResult:
+    """Iterate linearize + damped solve from `init` until the update norm converges.
 
-    `target` may be a PointCloud or a prebuilt SpatialIndex. Levenberg
-    damping is added to the H diagonal whenever the smallest eigenvalue
-    drops below `MatcherConfig.min_eigenvalue`, and increased until the step
-    does not raise the fixed-correspondence cost (`LinearSystem.cost_at`).
+    Levenberg damping is added to the H diagonal whenever the smallest
+    eigenvalue drops below `MatcherConfig.min_eigenvalue`, and increased
+    until the step does not raise the fixed-correspondence cost
+    (`matching_cost`).
     """
     cfg = MatcherConfig()
-    init = init or PoseSE3.identity()
-    index = target if isinstance(target, SpatialIndex) else SpatialIndex(target)
     if len(index) == 0:
         raise ParameterError("target cloud is empty")
 
@@ -222,7 +201,10 @@ def gauss_newton_align(
             if not np.isfinite(delta).all():
                 raise DivergenceError("non-finite Gauss-Newton update")
             candidate = left_update(pose, delta)
-            if system.cost_at(candidate) <= cost + 1e-12 * max(1.0, cost):
+            candidate_cost = matching_cost(
+                source, index.cloud, system.correspondences, system.weights, candidate
+            )
+            if candidate_cost <= cost + 1e-12 * max(1.0, cost):
                 step = (candidate, delta)
                 break
             lam = max(lam * 10.0, cfg.min_eigenvalue)

@@ -174,8 +174,16 @@ def bucket_index(smvs: float, edges) -> int:
 
 
 def bucket_report(runs: list[RunRecord], edges=DEFAULT_BUCKET_EDGES) -> BucketTable:
-    """Group runs by SMVS bucket and attack model; mean +- std per cell."""
+    """Group runs by SMVS bucket and attack model; mean +- std per cell.
+
+    `edges` must be at least 2 finite, strictly increasing values."""
     edges = tuple(edges)
+    if len(edges) < 2 or not all(map(math.isfinite, edges)) or any(
+        b <= a for a, b in zip(edges, edges[1:])
+    ):
+        raise ParameterError(
+            f"bucket edges {edges} must be at least 2 finite, strictly increasing values"
+        )
     table = BucketTable(edges=edges)
     groups: dict[tuple[int, str], list[RunRecord]] = {}
     for run in runs:

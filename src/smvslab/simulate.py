@@ -83,6 +83,11 @@ class Scene:
 
 @dataclass(frozen=True)
 class SceneSpec:
+    """A scene archetype and its length in metres. The canyon and open-wall
+    walls run that length; the mixed course is fixed (its walls end at
+    x = 38 m), so for it the length sets only how far the trajectory drives.
+    """
+
     archetype: str                          # canyon | open-wall | mixed
     length: float = 100.0
 

@@ -99,6 +99,8 @@ class SmvsConfig:
     threads: int = 1
 
     def __post_init__(self):
+        if self.threads < 1:
+            raise ParameterError(f"threads={self.threads} must be >= 1")
         if self.clone_sigma < 0:
             raise ParameterError("noise sigma must be >= 0")
         if not (0 < self.keep_ratio <= 1):
@@ -161,13 +163,13 @@ def _local_directions(q, weights):
     return (_matrix_power(q, -0.5) @ u[:, :, None])[:, :, 0]
 
 
-def pointwise_smvs(source: PointCloud, target) -> ImportanceCloud:
-    """Per-point importance of the source cloud against the target.
+def pointwise_smvs(source: PointCloud, index: SpatialIndex) -> ImportanceCloud:
+    """Per-point importance of the source cloud against an indexed target.
 
-    `target` may be a PointCloud or a prebuilt SpatialIndex carrying
-    covariances, such as a LazyCovarianceIndex. Linearizes once at the
-    identity pose with the pipelines' correspondence radius and
-    eigendecomposes the global Hessian for its weakest direction x_min.
+    `index` carries the target's covariances, as a LazyCovarianceIndex
+    does. Linearizes once at the identity pose with the pipelines'
+    correspondence radius and eigendecomposes the global Hessian for its
+    weakest direction x_min.
     No 6x6 local Hessian is formed: with M = J J^T and u the top
     eigenvector of the 3x3 matrix M^1/2 W M^1/2, a matched point's
     strongest local direction is v = [w x q ; -w] with w = M^-1/2 u
@@ -175,7 +177,6 @@ def pointwise_smvs(source: PointCloud, target) -> ImportanceCloud:
     |v . x_min| = |w . (q x x_min[:3] - x_min[3:])|. Unmatched points get
     importance 0.
     """
-    index = target if isinstance(target, SpatialIndex) else SpatialIndex(target)
     try:
         system = linearize(
             source, index, PoseSE3.identity(), GICP.matcher.max_corr_dist
@@ -190,7 +191,7 @@ def pointwise_smvs(source: PointCloud, target) -> ImportanceCloud:
     x_min = eigvecs[:, 0].copy()
 
     matched = system.correspondences >= 0
-    q = system.pose.apply(system.source_points)
+    q = system.points
     w = _local_directions(q, system.weights)
     importance = np.zeros(len(source))
     importance[matched] = np.abs(

@@ -37,7 +37,7 @@ def skew_batch(vs) -> np.ndarray:
 
 def matched_hessians(system) -> np.ndarray:
     """(m, 6, 6) local Hessians J^T W J of a LinearSystem's matched points."""
-    q = system.pose.apply(system.source_points)
+    q = system.points
     eye = np.broadcast_to(np.eye(3), (len(q), 3, 3))
     jd = np.concatenate([skew_batch(q), -eye], axis=2)
     return jd.transpose(0, 2, 1) @ system.weights @ jd

@@ -259,7 +259,7 @@ def test_criterion_2_pointwise_oracle(capsys):
 
         source = PointCloud(pts, spd())
         target = PointCloud(jitter, spd())
-        imp = pointwise_smvs(source, target)
+        imp = pointwise_smvs(source, SpatialIndex(target))
         oracle = dense_importance_oracle(source, target)
         worst = max(worst, float(np.max(np.abs(imp.importance - oracle))))
     ok = worst < 1e-9

@@ -80,6 +80,31 @@ def test_smvs_bad_d_th_exits_1_before_any_frame(tmp_path, capsys, monkeypatch):
     assert "error: d_th=40 exceeds n/2=36" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["smvs", "pipeline"])
+@pytest.mark.parametrize("threads", [0, -2])
+def test_threads_below_one_exit_1_before_any_frame(
+    tmp_path, capsys, monkeypatch, command, threads
+):
+    def simulated(*args, **kwargs):
+        raise AssertionError("a frame was simulated or loaded")
+
+    monkeypatch.setattr("smvslab.cli._simulate", simulated)
+    monkeypatch.setattr("smvslab.cli.load_dataset", simulated)
+    argv = [command, "--out", str(tmp_path / "out"), "--threads", str(threads)]
+    if command == "smvs":
+        argv += ["--dataset", str(tmp_path / "scene")]
+    assert run(argv) == 1
+    assert f"error: threads={threads} must be >= 1" in capsys.readouterr().err
+
+
+def test_pyproject_reads_the_package_version():
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    root = os.path.dirname(os.path.dirname(os.path.dirname(smvslab.__file__)))
+    config = read_configuration(os.path.join(root, "pyproject.toml"))
+    assert config["project"]["version"] == smvslab.__version__
+
+
 @pytest.mark.parametrize("argv, env", [
     (["odom", "--dataset", "nope"], {}),
     (["eval", "--est", "nope.txt", "--ref", "nope.txt"], {}),
@@ -87,12 +112,17 @@ def test_smvs_bad_d_th_exits_1_before_any_frame(tmp_path, capsys, monkeypatch):
     (["scene"], {"SMVSLAB_SEED": "abc"}),
     (["localize", "--dataset", ".", "--map", "000000.xyz", "--init-traj", "empty.txt"], {}),
     (["place", "--profile", "profile.csv"], {}),
+    (["report", "--runs", "runs.csv", "--edges", "a,b"], {}),
+    (["report", "--runs", "runs.csv", "--edges", "1"], {}),
+    (["report", "--runs", "runs.csv", "--edges", "5,1,-3"], {}),
 ], ids=["missing-dataset", "missing-trajectory", "missing-config", "bad-seed-env",
-        "empty-init-trajectory", "one-frame-profile"])
+        "empty-init-trajectory", "one-frame-profile", "non-numeric-edges", "one-edge",
+        "decreasing-edges"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv, env):
     # A one-frame dataset (the frame doubles as the map), a trajectory
-    # file with no poses and a one-frame SMVS profile.
+    # file with no poses, a one-frame SMVS profile and a one-row run table.
     (tmp_path / "000000.xyz").write_text("0.0 0.0 0.0\n1.0 0.0 0.0\n")
+    (tmp_path / "runs.csv").write_text("smvs,model,ape_m,ape_deg\n-5000.0,injection,0.1,0.2\n")
     (tmp_path / "empty.txt").write_text("# timestamp tx ty tz qx qy qz qw\n")
     (tmp_path / "profile.csv").write_text(
         "frame_id,timestamp,smvs,k_center,tx,ty,tz,qx,qy,qz,qw,n_regions,degenerate\n"

@@ -163,7 +163,7 @@ def test_gauss_newton_recovers_known_transform():
     # Source observed from true_pose: moving it by true_pose recreates target.
     src_pts = true_pose.inverse().apply(target.points)
     source = estimate_covariances(PointCloud(src_pts), k=10)
-    result = gauss_newton_align(source, target, PoseSE3.identity())
+    result = gauss_newton_align(source, SpatialIndex(target), PoseSE3.identity())
     assert result.converged
     assert np.linalg.norm(result.pose.translation - true_pose.translation) < 1e-3
     assert result.pose.rotation_angle_to(true_pose) < 1e-3
@@ -174,7 +174,7 @@ def test_gauss_newton_final_cost_not_worse_than_initial():
     init = PoseSE3.from_rpy(0.0, 0.0, 0.03, (0.2, 0.1, 0.0))
     source = estimate_covariances(PointCloud(init.inverse().apply(target.points)), k=10)
     start = linearize(source, SpatialIndex(target), PoseSE3.identity()).cost
-    result = gauss_newton_align(source, target, PoseSE3.identity())
+    result = gauss_newton_align(source, SpatialIndex(target), PoseSE3.identity())
     assert result.final_cost <= start
 
 
@@ -182,9 +182,9 @@ def test_gauss_newton_empty_inputs():
     cloud = estimate_covariances(structured_cloud(9, n=20), k=5)
     empty = PointCloud(np.empty((0, 3)))
     with pytest.raises(ParameterError):
-        gauss_newton_align(empty, cloud)
-    with pytest.raises(ParameterError):
-        gauss_newton_align(cloud, empty)
+        gauss_newton_align(empty, SpatialIndex(cloud), PoseSE3.identity())
+    with pytest.raises(ParameterError, match="target cloud is empty"):
+        gauss_newton_align(cloud, SpatialIndex(empty), PoseSE3.identity())
 
 
 def whitened_reference(source, index, pose, max_corr_dist=2.0):
@@ -249,13 +249,11 @@ def test_normal_equations_match_linearize():
         assert np.allclose(system.weights, ref.weights, rtol=1e-12, atol=0.0)
         # Re-evaluating at the linearization pose gives its own cost, and at
         # another pose the reference's fixed-correspondence cost.
-        assert system.cost_at(pose) == pytest.approx(system.cost, rel=1e-12)
+        fixed = (source, index.cloud, system.correspondences, system.weights)
+        assert matching_cost(*fixed, pose) == pytest.approx(system.cost, rel=1e-12)
         other = left_update(pose, 0.01 * rng.normal(size=6))
         expected = reference_cost_at(source, index, ref, other)
-        assert system.cost_at(other) == pytest.approx(expected, rel=1e-12)
-        assert matching_cost(
-            source, index.cloud, system.correspondences, system.weights, other
-        ) == pytest.approx(expected, rel=1e-12)
+        assert matching_cost(*fixed, other) == pytest.approx(expected, rel=1e-12)
 
 
 @st.composite
@@ -327,20 +325,30 @@ def test_local_hessians_sum_to_global_and_are_psd(problem):
 
 @PROPERTY_SETTINGS
 @given(matching_problems(), arrays(np.float64, 6, elements=st.floats(-0.05, 0.05)))
-def test_cost_at_reevaluates_fixed_correspondences(problem, step):
+def test_matching_cost_reevaluates_fixed_correspondences(problem, step):
     source, index, pose = problem
     try:
         system = linearize(source, index, pose)
     except DegenerateLinearizationError:
         return
-    assert system.cost_at(pose) == pytest.approx(system.cost, rel=1e-12)
+    fixed = (source, index.cloud, system.correspondences, system.weights)
+    assert matching_cost(*fixed, pose) == pytest.approx(system.cost, rel=1e-12)
     other = left_update(pose, step)
     ref = whitened_reference(source, index, pose)
     expected = reference_cost_at(source, index, ref, other)
-    assert system.cost_at(other) == pytest.approx(expected, rel=1e-12, abs=1e-300)
-    assert matching_cost(
-        source, index.cloud, system.correspondences, system.weights, other
-    ) == system.cost_at(other)
+    assert matching_cost(*fixed, other) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+@PROPERTY_SETTINGS
+@given(matching_problems())
+def test_linear_system_points_are_matched_sources_at_the_pose(problem):
+    source, index, pose = problem
+    try:
+        system = linearize(source, index, pose)
+    except DegenerateLinearizationError:
+        return
+    matched = system.correspondences >= 0
+    assert np.array_equal(system.points, pose.apply(source.points)[matched])
 
 
 def test_inverse_sym3_matches_linalg_inv():

@@ -158,6 +158,21 @@ def test_bucket_table_csv_has_na_for_empty_cells(tmp_path):
     assert "n/a" in lines[3]  # some bucket other than the populated one
 
 
+@pytest.mark.parametrize("edges", [
+    (), (1.0,), (5.0, 1.0, -3.0), (0.0, 0.0), (0.0, math.nan), (-math.inf, 0.0),
+])
+def test_bucket_report_rejects_bad_edges(edges):
+    with pytest.raises(ParameterError, match="at least 2 finite, strictly increasing"):
+        bucket_report([], edges)
+
+
+def test_bucket_report_accepts_two_edges():
+    runs = [RunRecord(smvs=2.0, model="injection", ape_m=1.0, ape_deg=1.0)]
+    table = bucket_report(runs, (0.0, 1.0))
+    assert [table.bucket_label(b) for b in range(table.num_buckets)] == ["S < 1", "1 < S"]
+    assert table.cells[(1, "injection")].count == 1
+
+
 def test_bucket_labels():
     table = bucket_report([])
     assert table.bucket_label(0) == "S < -6000"

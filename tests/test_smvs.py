@@ -13,6 +13,7 @@ from smvslab.geometry import (
     AzimuthBinning,
     LazyCovarianceIndex,
     PointCloud,
+    SpatialIndex,
     bin_center_angle,
     estimate_covariances,
 )
@@ -83,6 +84,13 @@ def test_clone_params_validation():
         perturbed_clones(PointCloud(np.empty((0, 3))), 0.01, 0.9, 0)
 
 
+def test_config_rejects_threads_below_one():
+    for threads in (0, -2):
+        with pytest.raises(ParameterError, match=f"threads={threads} must be >= 1"):
+            SmvsConfig(threads=threads)
+    assert SmvsConfig(threads=2).threads == 2
+
+
 def test_config_rejects_d_th_beyond_half_the_regions():
     with pytest.raises(ParameterError, match="d_th=40 exceeds n/2=36"):
         SmvsConfig(d_th=40)
@@ -136,7 +144,7 @@ def dense_importance_oracle(source, target, max_corr_dist=2.0):
 def test_pointwise_matches_dense_oracle():
     for seed in range(3):
         source, target = prepared_clones(seed)
-        imp = pointwise_smvs(source, target)
+        imp = pointwise_smvs(source, SpatialIndex(target))
         oracle, matched = dense_importance_oracle(source, target)
         assert np.array_equal(imp.matched, matched)
         assert np.max(np.abs(imp.importance - oracle)) < 1e-9
@@ -175,7 +183,7 @@ def test_pointwise_lazy_target_bit_identical():
     for seed in range(3):
         src, tgt = perturbed_clones(structured_frame(seed), 0.01, 0.9, seed)
         source = estimate_covariances(src, k=k, epsilon=eps)
-        eager = pointwise_smvs(source, estimate_covariances(tgt, k=k, epsilon=eps))
+        eager = pointwise_smvs(source, SpatialIndex(estimate_covariances(tgt, k=k, epsilon=eps)))
         lazy = pointwise_smvs(source, LazyCovarianceIndex(tgt, k=k, epsilon=eps))
         assert np.array_equal(lazy.importance, eager.importance)
         assert lazy.lambda_min_global == eager.lambda_min_global
@@ -185,7 +193,7 @@ def test_pointwise_lazy_target_bit_identical():
 
 def test_pointwise_importance_in_unit_interval():
     source, target = prepared_clones(4)
-    imp = pointwise_smvs(source, target)
+    imp = pointwise_smvs(source, SpatialIndex(target))
     assert np.all(imp.importance >= 0.0)
     assert np.all(imp.importance <= 1.0)
 
@@ -198,7 +206,7 @@ def test_pointwise_unmatched_importance_zero():
     target = estimate_covariances(
         PointCloud(base.points + rng.normal(0, 0.01, base.points.shape)), k=10
     )
-    imp = pointwise_smvs(source, target)
+    imp = pointwise_smvs(source, SpatialIndex(target))
     assert not imp.matched[-1]
     assert imp.importance[-1] == 0.0
 
@@ -211,8 +219,8 @@ def test_pointwise_rotation_equivariance():
     rot = PoseSE3.from_rpy(0.0, 0.0, 0.7).rotation_matrix()
     src_r = PointCloud(source.points @ rot.T, rot @ source.covariances @ rot.T)
     tgt_r = PointCloud(target.points @ rot.T, rot @ target.covariances @ rot.T)
-    imp = pointwise_smvs(source, target)
-    imp_r = pointwise_smvs(src_r, tgt_r)
+    imp = pointwise_smvs(source, SpatialIndex(target))
+    imp_r = pointwise_smvs(src_r, SpatialIndex(tgt_r))
     assert np.max(np.abs(imp.importance - imp_r.importance)) < 1e-7
 
 
@@ -220,7 +228,7 @@ def test_pointwise_no_overlap_raises():
     a = estimate_covariances(structured_frame(7), k=10)
     b = PointCloud(a.points + 1000.0, a.covariances)
     with pytest.raises(AnalysisError):
-        pointwise_smvs(a, b)
+        pointwise_smvs(a, SpatialIndex(b))
 
 
 def test_degenerate_spectrum_flagged_for_corridor():
@@ -233,7 +241,7 @@ def test_degenerate_spectrum_flagged_for_corridor():
     target = estimate_covariances(
         PointCloud(plane + rng.normal(0, 0.005, plane.shape)), k=10
     )
-    imp = pointwise_smvs(source, target)
+    imp = pointwise_smvs(source, SpatialIndex(target))
     assert imp.degenerate_spectrum
 
 
@@ -287,7 +295,7 @@ def test_framewise_uniform_closed_form():
 
 def test_framewise_score_mass_conserved():
     source, target = prepared_clones(9)
-    imp = pointwise_smvs(source, target)
+    imp = pointwise_smvs(source, SpatialIndex(target))
     binning = AzimuthBinning(72)
     _, scores = framewise_smvs(imp, source, binning, d_th=8)
     from smvslab.geometry import azimuth_bins
