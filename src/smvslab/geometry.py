@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ParameterError, QueryError, UndefinedAzimuthError
-from .textio import read_table, to_array, write_table
+from .textio import read_array, write_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -322,7 +322,7 @@ def bin_center_angle(k: int, binning: AzimuthBinning) -> float:
 
 def load_xyz(path) -> PointCloud:
     """Read an ASCII "x y z" file; '#' lines are comments."""
-    return PointCloud(to_array(path, *read_table(path, 3)))
+    return PointCloud(read_array(path, 3))
 
 
 def save_xyz(cloud: PointCloud, path):

@@ -115,6 +115,8 @@ def optimize_placement(
     recommended positions sit at the clamped standoff on either side of
     that point, perpendicular to the trajectory.
     """
+    if not math.isfinite(standoff):
+        raise ParameterError(f"standoff={standoff} must be finite")
     origins, directions = critical_directions(profile, top_m)
     points = intersect_halflines(origins, directions)
     if len(points) == 0:

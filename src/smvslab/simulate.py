@@ -91,6 +91,10 @@ class SceneSpec:
     archetype: str                          # canyon | open-wall | mixed
     length: float = 100.0
 
+    def __post_init__(self):
+        if not 0 < self.length < math.inf:
+            raise ParameterError(f"scene length must be finite and > 0, got {self.length}")
+
 
 def _wall_x_span(x0, x1, y, height) -> Patch:
     """Vertical wall along x at fixed y."""
@@ -174,10 +178,12 @@ class TrajectorySpec:
     def __post_init__(self):
         if len(self.waypoints) < 2:
             raise ParameterError("need at least 2 waypoints")
-        if self.speed <= 0:
-            raise ParameterError("speed must be > 0")
-        if self.frame_rate <= 0:
-            raise ParameterError("frame rate must be > 0")
+        if not np.isfinite(self.waypoints).all():
+            raise ParameterError("waypoints must be finite")
+        if not 0 < self.speed < math.inf:
+            raise ParameterError("speed must be finite and > 0")
+        if not 0 < self.frame_rate < math.inf:
+            raise ParameterError("frame rate must be finite and > 0")
 
 
 def _polyline_poses(spec: TrajectorySpec) -> list[PoseSE3]:

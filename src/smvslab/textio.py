@@ -3,6 +3,9 @@
 A table has one row per line, its fields split on `sep` (None: runs of
 whitespace), under an optional header line. Readers skip blank and '#'
 lines and fail on a bad line with ParameterError("<path>:<line>: ...").
+`read_array` reads a whole numeric table (the `.xyz` frames) in one pass
+and falls back to the line reader, which stays the reference and names
+the bad line, whenever that pass does not give a clean array.
 """
 
 from __future__ import annotations
@@ -45,6 +48,26 @@ def to_array(path, lines, rows, dtype=np.float64, finite=True):
         if bad.any():
             raise ParameterError(f"{path}:{lines[int(np.argmax(bad))]}: non-finite field")
     return values
+
+
+def read_array(path, n_fields):
+    """`to_array(path, *read_table(path, n_fields))` in one pass: numpy's C
+    parser reads the whole text; any file it does not turn into finite rows
+    of `n_fields` values ('#' lines, fields such as `1_0` that only `float()`
+    takes, a bad line, a blank file) goes through the line reader instead.
+    Lines split at newlines only, as in `read_table`; `splitlines()` would
+    also split at the form feeds and other separators it keeps in a line."""
+    with open(path, "r") as f:
+        text = f.read()
+    if text and not text.isspace():  # on no data, loadtxt warns and returns shape (0, 1)
+        try:
+            values = np.loadtxt(text.split("\n"), dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if values.shape[1] == n_fields and np.isfinite(values).all():
+                return values
+    return to_array(path, *read_table(path, n_fields))
 
 
 def write_table(path, line, rows, header=None):

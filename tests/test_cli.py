@@ -115,19 +115,31 @@ def test_pyproject_reads_the_package_version():
     (["report", "--runs", "runs.csv", "--edges", "a,b"], {}),
     (["report", "--runs", "runs.csv", "--edges", "1"], {}),
     (["report", "--runs", "runs.csv", "--edges", "5,1,-3"], {}),
+    (["place", "--profile", "profile4.csv", "--standoff", "nan"], {}),
+    (["place", "--profile", "profile4.csv", "--standoff", "inf"], {}),
+    (["scene", "--length", "nan"], {}),
+    (["scene", "--rate", "nan"], {}),
+    (["scene", "--length", "-5"], {}),
+    (["scene", "--speed", "inf"], {}),
 ], ids=["missing-dataset", "missing-trajectory", "missing-config", "bad-seed-env",
         "empty-init-trajectory", "one-frame-profile", "non-numeric-edges", "one-edge",
-        "decreasing-edges"])
+        "decreasing-edges", "nan-standoff", "inf-standoff", "nan-length", "nan-rate",
+        "negative-length", "inf-speed"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv, env):
     # A one-frame dataset (the frame doubles as the map), a trajectory
-    # file with no poses, a one-frame SMVS profile and a one-row run table.
+    # file with no poses, a one-frame and a four-frame SMVS profile and a
+    # one-row run table.
     (tmp_path / "000000.xyz").write_text("0.0 0.0 0.0\n1.0 0.0 0.0\n")
     (tmp_path / "runs.csv").write_text("smvs,model,ape_m,ape_deg\n-5000.0,injection,0.1,0.2\n")
     (tmp_path / "empty.txt").write_text("# timestamp tx ty tz qx qy qz qw\n")
+    header = "frame_id,timestamp,smvs,k_center,tx,ty,tz,qx,qy,qz,qw,n_regions,degenerate\n"
     (tmp_path / "profile.csv").write_text(
-        "frame_id,timestamp,smvs,k_center,tx,ty,tz,qx,qy,qz,qw,n_regions,degenerate\n"
-        "0,0.0,-100.0,40,0.0,0.0,0.0,0.0,0.0,0.0,1.0,72,0\n"
+        header + "0,0.0,-100.0,40,0.0,0.0,0.0,0.0,0.0,0.0,1.0,72,0\n"
     )
+    (tmp_path / "profile4.csv").write_text(header + "".join(
+        f"{i},{0.1 * i},{-100.0 * i},{40 + i},{2.0 * i},0.0,0.0,0.0,0.0,0.0,1.0,72,0\n"
+        for i in range(4)
+    ))
     src = os.path.dirname(os.path.dirname(smvslab.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "smvslab.cli", *argv, "--out", str(tmp_path / "out")],

@@ -181,6 +181,12 @@ def test_placement_standoff_clamped():
     assert high.standoff == 15.0
 
 
+@pytest.mark.parametrize("standoff", [math.nan, math.inf, -math.inf])
+def test_placement_rejects_non_finite_standoff(standoff):
+    with pytest.raises(ParameterError, match="must be finite"):
+        optimize_placement(linear_profile(), top_m=5, standoff=standoff)
+
+
 def test_placement_line_projection():
     result = optimize_placement(linear_profile(), top_m=5, standoff=12.0)
     # Projection of the center onto the y=0 trajectory keeps x, zeroes y.

@@ -159,6 +159,19 @@ def test_trajectory_spec_validation():
         TrajectorySpec(waypoints=((0.0, 0.0), (1.0, 0.0)), speed=0.0)
     with pytest.raises(ParameterError):
         _polyline_poses(TrajectorySpec(waypoints=((0.0, 0.0), (0.0, 0.0))))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            TrajectorySpec(waypoints=((0.0, 0.0), (1.0, 0.0)), speed=bad)
+        with pytest.raises(ParameterError, match="finite"):
+            TrajectorySpec(waypoints=((0.0, 0.0), (1.0, 0.0)), frame_rate=bad)
+        with pytest.raises(ParameterError, match="finite"):
+            TrajectorySpec(waypoints=((0.0, 0.0), (bad, 0.0)))
+
+
+@pytest.mark.parametrize("length", [math.nan, math.inf, 0.0, -5.0])
+def test_scene_spec_rejects_bad_length(length):
+    with pytest.raises(ParameterError, match="scene length"):
+        SceneSpec(archetype="canyon", length=length)
 
 
 # ---------------------------------------------------------------- datasets

@@ -1,6 +1,7 @@
 import ast
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis.extra.numpy import arrays
 
 import smvslab
 from smvslab.cli import dispatch
+from smvslab.errors import ParameterError
 from smvslab.geometry import AzimuthBinning, PointCloud, load_xyz, save_xyz
 from smvslab.se3 import PoseSE3
 from smvslab.smvs import FrameSmvs, SmvsFrameEntry, SmvsProfile, load_profile_csv
+from smvslab.textio import read_array, read_table, to_array
 from smvslab.trajectory import Trajectory
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -49,6 +52,98 @@ def test_xyz_roundtrip_is_bit_exact(points):
         path = os.path.join(tmp, "cloud.xyz")
         save_xyz(cloud, path)
         assert bits(load_xyz(path).points) == bits(cloud.points)
+
+
+def line_reader(path):
+    return to_array(path, *read_table(path, 3))
+
+
+def outcome(read, path):
+    """Shape and bytes of what `read` returns, or the ParameterError it raises."""
+    try:
+        values = read(path)
+    except ParameterError as e:
+        return "ParameterError", str(e)
+    return values.shape, bits(values)
+
+
+XYZ_CASES = {
+    "empty": "",
+    "blank": " \n\t\n\n",
+    "comment-lines": "# x y z\n1 2 3\n# mid\n4 5 6\n",
+    "trailing-comment": "1 2 3 # x\n",
+    "tabs": "1\t2\t3\n\t4 \t5 6\t\n",
+    "crlf": "1 2 3\r\n4 5 6\r\n",
+    "no-final-newline": "1 2 3\n4 5 6",
+    "blank-lines-between": "\n1 2 3\n\n \n4 5 6\n\n",
+    "one-row": "0.1 -0.2 0.3\n",
+    "one-column": "1\n2\n3\n",
+    "underscore": "1_0 2 3\n",
+    "overflow": "1e500 2 3\n",
+    "nan": "1 nan 3\n",
+    "minus-infinity": "1 2 -infinity\n",
+    "two-fields": "1 2 3\n1 2\n",
+    "four-fields": "1 2 3 4\n",
+    "letter": "1 x 3\n",
+    "hex-float": "0x1p3 2 3\n",
+    "form-feed-inside": "1 2 3\x0c4 5 6\n",
+    "nbsp-inside": "1\xa02 3\n",
+    "next-line-inside": "1 2\x853\n",
+    "bom": "\ufeff1 2 3\n",
+    "full-width-digit": "\uff11 2 3\n",
+    "nul": "1 2 3\x00\n",
+    "subnormals": "5e-324 -2.225073858507201e-308 -0.0\n",
+    "max-floats": "1.7976931348623157e308 -1.7976931348623157e308 0.1\n",
+    "beyond-max": "1 -1.8e308 3\n",
+}
+
+
+@pytest.mark.parametrize("text", XYZ_CASES.values(), ids=XYZ_CASES.keys())
+def test_read_array_matches_the_line_reader(tmp_path, text):
+    path = tmp_path / "cloud.xyz"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(lambda p: read_array(p, 3), path) == outcome(line_reader, path)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "  \n\t\n"], ids=["empty", "newline", "blank"])
+def test_blank_xyz_loads_as_no_points_without_warning(tmp_path, text):
+    path = tmp_path / "cloud.xyz"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(load_xyz(path)) == 0
+
+
+SPACES = st.sampled_from([" ", "  ", "\t", " \t "])
+
+
+@st.composite
+def decorated_xyz(draw):
+    """A table as `save_xyz` writes it, then re-spaced, with '#' and blank
+    lines drawn in between."""
+    points = draw(arrays(np.float64, st.tuples(st.integers(0, 12), st.just(3)), elements=FINITE))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cloud.xyz")
+        save_xyz(PointCloud(points), path)
+        with open(path) as f:
+            rows = f.read().split()
+    lines = []
+    for i in range(0, len(rows), 3):
+        lines += draw(st.lists(st.sampled_from(["", " ", "# comment", "#", "\t# 1 2 3"]), max_size=1))
+        seps = [draw(SPACES) for _ in range(2)]
+        lead, trail = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(lead + rows[i] + seps[0] + rows[i + 1] + seps[1] + rows[i + 2] + trail)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@PROPERTY_SETTINGS
+@given(decorated_xyz())
+def test_read_array_is_the_line_reader_bit_for_bit(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cloud.xyz")
+        with open(path, "w") as f:
+            f.write(text)
+        assert outcome(lambda p: read_array(p, 3), path) == outcome(line_reader, path)
 
 
 def unit_quaternions():
