@@ -7,7 +7,6 @@ lengths in meters. Azimuth is the full-quadrant atan2(y, x) in (-pi, pi].
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,14 +77,31 @@ class AzimuthBinning:
         return TWO_PI / self.n
 
 
+# Query size (points times neighbors) from which scipy's two worker threads
+# pay for starting; smaller batches run on one thread.
+THREADED_QUERY_SIZE = 10_000
+
+
 class SpatialIndex:
-    """Immutable kd-tree over a PointCloud; exact nearest-neighbor queries."""
+    """Immutable kd-tree over a PointCloud; exact nearest-neighbor queries.
+
+    The tree splits at sliding midpoints (`balanced_tree=False`), which
+    builds faster than median splits and answers scan-matching queries
+    faster. A query runs on one thread unless len(points) * k reaches
+    `THREADED_QUERY_SIZE`, because scipy starts and joins its threads on
+    every call. On 2 cores, threads broke even at about 500 points for k=20
+    (size 10 000) and at 2000-4000 points for k=1 against a 24.5k-point
+    map, and cost up to 6x on smaller batches (sweep in BENCH_16.json).
+    Neither choice changes a point's neighbors, except that the split rule
+    may pick the other of two neighbors whose squared distances round to
+    the same float.
+    """
 
     __slots__ = ("cloud", "_tree")
 
     def __init__(self, cloud: PointCloud):
         self.cloud = cloud
-        self._tree = cKDTree(cloud.points) if len(cloud) else None
+        self._tree = cKDTree(cloud.points, balanced_tree=False) if len(cloud) else None
 
     def __len__(self):
         return len(self.cloud)
@@ -111,7 +127,8 @@ class SpatialIndex:
         # The tree keeps only neighbors strictly inside its bound, compared
         # in squared distance; the margin keeps every one within max_distance.
         bound = max_distance * (1.0 + 1e-9)
-        d, i = self._tree.query(pts, k=kk, workers=-1, distance_upper_bound=bound)
+        workers = -1 if len(pts) * kk >= THREADED_QUERY_SIZE else 1
+        d, i = self._tree.query(pts, k=kk, workers=workers, distance_upper_bound=bound)
         if kk == 1:
             d = d.reshape(-1, 1)
             i = i.reshape(-1, 1)
@@ -126,9 +143,13 @@ class LazyCovarianceIndex(SpatialIndex):
     cloud, and the covariance kernel works row by row, so each one equals
     what `estimate_covariances(cloud, k, epsilon)` gives, bit for bit. A
     matcher that touches a fraction of the cloud pays for that fraction only.
+
+    An index fills its cache as it is read, so it belongs to one thread:
+    `trajectory_smvs` builds one per frame inside its worker, and the
+    pipelines are serial.
     """
 
-    __slots__ = ("_k", "_epsilon", "_covs", "_known", "_lock")
+    __slots__ = ("_k", "_epsilon", "_covs", "_known")
 
     def __init__(self, cloud: PointCloud, k: int = 20, epsilon: float = 1e-3):
         _check_neighbor_count(cloud, k)
@@ -137,7 +158,6 @@ class LazyCovarianceIndex(SpatialIndex):
         self._epsilon = epsilon
         self._covs = np.empty((len(cloud), 3, 3))
         self._known = np.zeros(len(cloud), dtype=bool)
-        self._lock = threading.Lock()
 
     @property
     def has_covariances(self):
@@ -145,13 +165,12 @@ class LazyCovarianceIndex(SpatialIndex):
 
     def covariances_at(self, ids) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
-        with self._lock:
-            todo = np.unique(ids[~self._known[ids]])
-            if len(todo):
-                raw = _neighbor_covariances(self, todo, self._k)
-                self._covs[todo] = _regularize(raw, self._epsilon)
-                self._known[todo] = True
-            return self._covs[ids]
+        todo = np.unique(ids[~self._known[ids]])
+        if len(todo):
+            raw = _neighbor_covariances(self, todo, self._k)
+            self._covs[todo] = _regularize(raw, self._epsilon)
+            self._known[todo] = True
+        return self._covs[ids]
 
 
 def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:

@@ -17,6 +17,7 @@ from .trajectory import Trajectory
 WIDTH = 12.0                # meters between the corridor walls
 WALL_HEIGHT = 5.0           # meters
 SENSOR_HEIGHT = 1.5         # meters above the ground plane
+MAX_FRAMES = 1_000_000      # longest course, in frames, a trajectory may have
 
 
 @dataclass(frozen=True)
@@ -28,10 +29,19 @@ class SensorModel:
     range_noise_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.max_range <= 0:
-            raise ParameterError("max range must be > 0")
-        if self.horizontal_resolution_deg <= 0:
-            raise ParameterError("horizontal resolution must be > 0")
+        # Written so that NaN fails every check.
+        if not self.max_range > 0:
+            raise ParameterError(f"max range must be > 0, got {self.max_range}")
+        if not 0 < self.horizontal_resolution_deg < math.inf:
+            raise ParameterError(
+                f"horizontal resolution must be finite and > 0, got {self.horizontal_resolution_deg}"
+            )
+        if not 0 < self.vertical_fov_deg < math.inf:
+            raise ParameterError(f"vertical FOV must be finite and > 0, got {self.vertical_fov_deg}")
+        if not 0 <= self.range_noise_sigma < math.inf:
+            raise ParameterError(
+                f"range noise sigma must be finite and >= 0, got {self.range_noise_sigma}"
+            )
         if self.rings < 1:
             raise ParameterError("need at least one ring")
 
@@ -195,7 +205,12 @@ def _polyline_poses(spec: TrajectorySpec) -> list[PoseSE3]:
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
     total = float(cum[-1])
     step = spec.speed / spec.frame_rate
-    count = int(round(total / step))
+    frames = total / step
+    if not frames <= MAX_FRAMES:
+        raise ParameterError(
+            f"course of {total!r} m at {step!r} m per frame exceeds {MAX_FRAMES} frames"
+        )
+    count = int(round(frames))
     poses = []
     for i in range(count):
         s = i * step

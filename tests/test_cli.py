@@ -121,10 +121,16 @@ def test_pyproject_reads_the_package_version():
     (["scene", "--rate", "nan"], {}),
     (["scene", "--length", "-5"], {}),
     (["scene", "--speed", "inf"], {}),
+    (["scene", "--max-range", "nan"], {}),
+    (["scene", "--vfov", "nan"], {}),
+    (["scene", "--hres", "nan"], {}),
+    (["scene", "--range-noise", "nan"], {}),
+    (["scene", "--range-noise", "-1"], {}),
 ], ids=["missing-dataset", "missing-trajectory", "missing-config", "bad-seed-env",
         "empty-init-trajectory", "one-frame-profile", "non-numeric-edges", "one-edge",
         "decreasing-edges", "nan-standoff", "inf-standoff", "nan-length", "nan-rate",
-        "negative-length", "inf-speed"])
+        "negative-length", "inf-speed", "nan-max-range", "nan-vfov", "nan-hres",
+        "nan-range-noise", "negative-range-noise"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv, env):
     # A one-frame dataset (the frame doubles as the map), a trajectory
     # file with no poses, a one-frame and a four-frame SMVS profile and a
@@ -151,6 +157,30 @@ def test_bad_input_exits_1_without_traceback(tmp_path, argv, env):
     assert proc.returncode == 1
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_scene_rejects_a_course_beyond_the_frame_limit(tmp_path, capsys, monkeypatch):
+    # 1e300 m overflows the course length to inf; 1e100 m is finite and far
+    # past the limit at 0.6 m per frame. The bound must fire before the
+    # first pose; the patch stops a missing bound after a few poses, before
+    # it can fill memory.
+    from smvslab.se3 import PoseSE3
+
+    original = PoseSE3.from_rpy
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        if len(built) > 3:
+            raise AssertionError("poses built past the frame limit")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(PoseSE3, "from_rpy", counting)
+    for length in ("1e300", "1e100"):
+        argv = ["scene", "--out", str(tmp_path / "scene"), "--length", length]
+        assert run(argv) == 1
+        assert "frames" in capsys.readouterr().err
+        assert not built
 
 
 def test_scene_writes_dataset_and_manifest(tmp_path):

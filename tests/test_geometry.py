@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from smvslab import geometry, smvs
@@ -71,6 +72,52 @@ def test_query_empty_index_raises():
     index = SpatialIndex(PointCloud(np.empty((0, 3))))
     with pytest.raises(QueryError):
         index.query((0.0, 0.0, 0.0), k=1)
+
+
+class WorkersSeen:
+    """kd-tree proxy that records the `workers` of every query."""
+
+    def __init__(self, tree):
+        self.tree, self.workers = tree, []
+
+    def query(self, *args, workers, **kwargs):
+        self.workers.append(workers)
+        return self.tree.query(*args, workers=workers, **kwargs)
+
+
+@pytest.mark.parametrize("k, max_distance", [(1, 0.4), (20, np.inf)])
+def test_query_in_one_batch_equals_query_in_chunks(k, max_distance):
+    # The batch runs threaded and the chunks serially; a point's neighbors
+    # do not depend on either.
+    rng = np.random.default_rng(16)
+    index = SpatialIndex(PointCloud(rng.uniform(-10.0, 10.0, (4000, 3))))
+    points = rng.uniform(-11.0, 11.0, (2 * geometry.THREADED_QUERY_SIZE // k, 3))
+    seen = index._tree = WorkersSeen(index._tree)
+    d, i = index.query(points, k=k, max_distance=max_distance)
+    chunk = geometry.THREADED_QUERY_SIZE // (4 * k)
+    parts = [index.query(points[s:s + chunk], k=k, max_distance=max_distance)
+             for s in range(0, len(points), chunk)]
+    assert seen.workers[0] == -1 and set(seen.workers[1:]) == {1}
+    assert np.array_equal(d, np.concatenate([p[0] for p in parts]))
+    assert np.array_equal(i, np.concatenate([p[1] for p in parts]))
+    if max_distance < np.inf:
+        assert np.isinf(d).any() and np.isfinite(d).any()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 0.5), (1, np.inf), (20, np.inf)]))
+def test_query_equals_balanced_tree_on_tie_free_clouds(seed, k_and_bound):
+    # Random coordinates leave no two squared distances equal, so the
+    # sliding-midpoint tree finds what a balanced one does.
+    k, max_distance = k_and_bound
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(int(rng.integers(k, 3000)), 3)) * rng.uniform(0.1, 10.0, 3)
+    queries = rng.normal(size=(int(rng.integers(1, 1500)), 3)) * 5.0
+    d, i = SpatialIndex(PointCloud(pts)).query(queries, k=k, max_distance=max_distance)
+    bound = max_distance * (1.0 + 1e-9)
+    d_ref, i_ref = cKDTree(pts).query(queries, k=k, workers=-1, distance_upper_bound=bound)
+    assert np.array_equal(d, d_ref.reshape(len(queries), k))
+    assert np.array_equal(i, i_ref.reshape(len(queries), k))
 
 
 def test_voxel_downsample_centroids():

@@ -7,6 +7,7 @@ from smvslab.errors import ParameterError
 from smvslab.geometry import PointCloud
 from smvslab.se3 import PoseSE3
 from smvslab.simulate import (
+    MAX_FRAMES,
     Patch,
     Scene,
     SceneSpec,
@@ -52,12 +53,18 @@ def test_ray_directions_are_unit():
 
 
 def test_sensor_validation():
-    with pytest.raises(ParameterError):
-        SensorModel(max_range=0.0)
-    with pytest.raises(ParameterError):
-        SensorModel(rings=0)
-    with pytest.raises(ParameterError):
-        SensorModel(horizontal_resolution_deg=0.0)
+    for bad in (
+        {"max_range": 0.0}, {"max_range": -1.0}, {"max_range": math.nan},
+        {"rings": 0},
+        {"horizontal_resolution_deg": 0.0}, {"horizontal_resolution_deg": -0.4},
+        {"horizontal_resolution_deg": math.nan}, {"horizontal_resolution_deg": math.inf},
+        {"vertical_fov_deg": 0.0}, {"vertical_fov_deg": -30.0},
+        {"vertical_fov_deg": math.nan}, {"vertical_fov_deg": math.inf},
+        {"range_noise_sigma": -0.01}, {"range_noise_sigma": math.nan},
+        {"range_noise_sigma": math.inf},
+    ):
+        with pytest.raises(ParameterError):
+            SensorModel(**bad)
 
 
 # ---------------------------------------------------------------- scenes
@@ -166,6 +173,19 @@ def test_trajectory_spec_validation():
             TrajectorySpec(waypoints=((0.0, 0.0), (1.0, 0.0)), frame_rate=bad)
         with pytest.raises(ParameterError, match="finite"):
             TrajectorySpec(waypoints=((0.0, 0.0), (bad, 0.0)))
+
+
+def test_polyline_frame_limit(monkeypatch):
+    # The bound is checked before any pose is built.
+    def built(*args, **kwargs):
+        raise AssertionError("a pose was built")
+
+    monkeypatch.setattr(PoseSE3, "from_rpy", built)
+    step = 0.6
+    for length in (1e300, step * (MAX_FRAMES + 1)):
+        spec = TrajectorySpec(waypoints=((0.0, 0.0), (length, 0.0)), speed=6.0, frame_rate=10.0)
+        with pytest.raises(ParameterError, match=f"{MAX_FRAMES} frames"):
+            _polyline_poses(spec)
 
 
 @pytest.mark.parametrize("length", [math.nan, math.inf, 0.0, -5.0])
