@@ -13,7 +13,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ParameterError, QueryError, UndefinedAzimuthError
-from .textio import read_array, write_table
+from .textio import read_array, write_array
 
 TWO_PI = 2.0 * math.pi
 
@@ -151,7 +151,7 @@ class LazyCovarianceIndex(SpatialIndex):
 
     __slots__ = ("_k", "_epsilon", "_covs", "_known")
 
-    def __init__(self, cloud: PointCloud, k: int = 20, epsilon: float = 1e-3):
+    def __init__(self, cloud: PointCloud, k: int, epsilon: float = 1e-3):
         _check_neighbor_count(cloud, k)
         super().__init__(cloud)
         self._k = k
@@ -167,8 +167,7 @@ class LazyCovarianceIndex(SpatialIndex):
         ids = np.asarray(ids, dtype=np.int64)
         todo = np.unique(ids[~self._known[ids]])
         if len(todo):
-            raw = _neighbor_covariances(self, todo, self._k)
-            self._covs[todo] = _regularize(raw, self._epsilon)
+            self._covs[todo] = _covariances(self, todo, self._k, self._epsilon)
             self._known[todo] = True
         return self._covs[ids]
 
@@ -295,7 +294,12 @@ def _regularize(raw: np.ndarray, epsilon: float) -> np.ndarray:
     return np.eye(3) - (1.0 - epsilon) * (n[:, :, None] * n[:, None, :])
 
 
-def estimate_covariances(cloud: PointCloud, k: int = 20, epsilon: float = 1e-3) -> PointCloud:
+def _covariances(index: SpatialIndex, ids, k: int, epsilon: float) -> np.ndarray:
+    """GICP covariances of the indexed points `ids`, for both estimators."""
+    return _regularize(_neighbor_covariances(index, ids, k), epsilon)
+
+
+def estimate_covariances(cloud: PointCloud, k: int, epsilon: float = 1e-3) -> PointCloud:
     """Per-point GICP plane-to-plane covariances I - (1 - epsilon) n n^T.
 
     n is the smallest eigenvector of the sample covariance over the k
@@ -303,8 +307,7 @@ def estimate_covariances(cloud: PointCloud, k: int = 20, epsilon: float = 1e-3) 
     the plane normal gets epsilon and the in-plane directions 1.
     """
     _check_neighbor_count(cloud, k)
-    raw = _neighbor_covariances(SpatialIndex(cloud), slice(None), k)
-    return cloud.with_covariances(_regularize(raw, epsilon))
+    return cloud.with_covariances(_covariances(SpatialIndex(cloud), slice(None), k, epsilon))
 
 
 def azimuth(p) -> float:
@@ -345,4 +348,4 @@ def load_xyz(path) -> PointCloud:
 
 
 def save_xyz(cloud: PointCloud, path):
-    write_table(path, "{!r} {!r} {!r}", cloud.points.tolist())
+    write_array(path, cloud.points)

@@ -97,7 +97,7 @@ def linearize(
     source: PointCloud,
     target_index: SpatialIndex,
     pose: PoseSE3,
-    max_corr_dist: float = 2.0,
+    max_corr_dist: float,
 ) -> LinearSystem:
     """Build the Gauss-Newton normal equations at the given pose.
 

@@ -238,31 +238,26 @@ def raycast_frame(
     origin = np.asarray(pose.translation, dtype=np.float64)
 
     best = np.full(len(dirs), np.inf)
-    for patch in scene.patches:
-        corner = np.asarray(patch.corner, dtype=np.float64)
-        u = np.asarray(patch.edge_u, dtype=np.float64)
-        v = np.asarray(patch.edge_v, dtype=np.float64)
-        normal = np.cross(u, v)
-        denom = dirs @ normal
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = ((corner - origin) @ normal) / denom
-        hit = np.isfinite(t) & (t > 1e-6)
-        t = np.where(hit, t, 0.0)
-        q = origin + dirs * t[:, None]
-        rel = q - corner
-        uu, vv = u @ u, v @ v
-        alpha = rel @ u / uu
-        beta = rel @ v / vv
-        hit &= (alpha >= 0) & (alpha <= 1) & (beta >= 0) & (beta <= 1)
-        closer = hit & (t < best)
-        best[closer] = t[closer]
-    if scene.ground:
-        dz = dirs[:, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = -origin[2] / dz
-        hit = np.isfinite(t) & (t > 1e-6)
-        closer = hit & (t < best)
-        best[closer] = t[closer]
+    # A ray (nearly) parallel to a plane gets a t of +-inf or nan, or overflows.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for patch in scene.patches:
+            corner = np.asarray(patch.corner, dtype=np.float64)
+            u = np.asarray(patch.edge_u, dtype=np.float64)
+            v = np.asarray(patch.edge_v, dtype=np.float64)
+            normal = np.cross(u, v)
+            t = ((corner - origin) @ normal) / (dirs @ normal)
+            # Only the rays this patch can still win go on to the in-patch test.
+            rays = np.flatnonzero(np.isfinite(t) & (t > 1e-6) & (t < best))
+            t = t[rays]
+            rel = origin + dirs[rays] * t[:, None] - corner
+            alpha = rel @ u / (u @ u)
+            beta = rel @ v / (v @ v)
+            hit = (alpha >= 0) & (alpha <= 1) & (beta >= 0) & (beta <= 1)
+            best[rays[hit]] = t[hit]
+        if scene.ground:
+            t = -origin[2] / dirs[:, 2]
+            closer = np.isfinite(t) & (t > 1e-6) & (t < best)
+            best[closer] = t[closer]
 
     returned = best <= sensor.max_range
     ranges = best[returned]

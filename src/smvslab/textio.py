@@ -3,9 +3,9 @@
 A table has one row per line, its fields split on `sep` (None: runs of
 whitespace), under an optional header line. Readers skip blank and '#'
 lines and fail on a bad line with ParameterError("<path>:<line>: ...").
-`read_array` reads a whole numeric table (the `.xyz` frames) in one pass
-and falls back to the line reader, which stays the reference and names
-the bad line, whenever that pass does not give a clean array.
+`read_array` and `write_array` read and write a whole numeric table (the
+`.xyz` frames) in one pass; the reader falls back to the line reader, which
+stays the reference and names the bad line, unless it gets a clean array.
 """
 
 from __future__ import annotations
@@ -81,11 +81,12 @@ def write_table(path, line, rows, header=None):
         f.writelines(fmt(*row) for row in rows)
 
 
+def write_array(path, values):
+    """`write_table(path, "{!r} ... {!r}", values.tolist())` in one format call."""
+    line = " ".join(["{!r}"] * values.shape[1]) + "\n"
+    with open(path, "w") as f:
+        f.write((line * len(values)).format(*values.ravel().tolist()))
+
+
 def write_manifest(path, params: dict):
     write_table(path, "{}={}", sorted(params.items()))
-
-
-def read_manifest(path) -> dict:
-    """key=value lines, keys and values stripped."""
-    _, rows = read_table(path, 2, sep="=")
-    return {key.strip(): value.strip() for key, value in rows}

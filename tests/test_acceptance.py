@@ -20,7 +20,7 @@ from smvslab.cli import dispatch
 from smvslab.geometry import AzimuthBinning, PointCloud, SpatialIndex, bin_center_angle
 from smvslab.matching import linearize, matching_cost
 from smvslab.metrics import ape, rpe
-from smvslab.pipelines import build_prior_map, odometry_run, priormap_localize
+from smvslab.pipelines import GICP, build_prior_map, odometry_run, priormap_localize
 from smvslab.placement import choose_recommended, optimize_placement
 from smvslab.se3 import PoseSE3, left_update
 from smvslab.simulate import SceneSpec, SensorModel, TrajectorySpec, build_scene, generate_dataset
@@ -150,7 +150,7 @@ def test_criterion_1_linearization(capsys):
     eps = 1e-6
     for seed in range(20):
         source, index, pose = random_matching_problem(seed)
-        system = linearize(source, index, pose)
+        system = linearize(source, index, pose, GICP.matcher.max_corr_dist)
         matched = system.correspondences >= 0
         chol = np.linalg.cholesky(system.weights)
         b_pts = index.cloud.points[system.correspondences[matched]]

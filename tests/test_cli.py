@@ -7,12 +7,12 @@ import sys
 import pytest
 
 import smvslab
+from manifests import read_manifest
 from smvslab.cli import build_parser, dispatch
 from smvslab.datasets import FrameDataset, load_dataset, save_dataset
 from smvslab.geometry import AzimuthBinning, PointCloud
 from smvslab.placement import optimize_placement
 from smvslab.smvs import SmvsProfile, load_profile_csv
-from smvslab.textio import read_manifest
 from smvslab.trajectory import Trajectory
 
 FAST_SENSOR = [

@@ -3,11 +3,12 @@ import re
 import numpy as np
 import pytest
 
+from manifests import read_manifest
 from smvslab.datasets import FrameDataset, load_dataset, save_dataset
 from smvslab.errors import ParameterError
 from smvslab.geometry import PointCloud
 from smvslab.se3 import PoseSE3
-from smvslab.textio import read_manifest, write_manifest
+from smvslab.textio import write_manifest
 from smvslab.trajectory import Trajectory
 
 

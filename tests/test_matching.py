@@ -14,7 +14,10 @@ from smvslab.matching import (
     linearize,
     matching_cost,
 )
+from smvslab.pipelines import GICP
 from smvslab.se3 import PoseSE3, exp_twist, left_update
+
+RADIUS = GICP.matcher.max_corr_dist
 
 
 def random_spd(rng, n):
@@ -60,7 +63,7 @@ def test_gradient_matches_finite_differences():
         rng = np.random.default_rng(100 + seed)
         source, index = make_problem(seed)
         pose = random_pose(rng)
-        system = linearize(source, index, pose)
+        system = linearize(source, index, pose, RADIUS)
         grad = fd_gradient(source, index, system, pose)
         analytic = 2.0 * system.b_global
         denom = max(np.linalg.norm(grad), 1.0)
@@ -69,7 +72,7 @@ def test_gradient_matches_finite_differences():
 
 def test_global_hessian_is_sum_of_local():
     source, index = make_problem(3)
-    system = linearize(source, index, PoseSE3.identity())
+    system = linearize(source, index, PoseSE3.identity(), RADIUS)
     total = local_hessians(system).sum(axis=0)
     assert np.allclose(total, system.h_global, rtol=1e-12, atol=1e-12)
 
@@ -77,7 +80,7 @@ def test_global_hessian_is_sum_of_local():
 def test_global_hessian_positive_semidefinite():
     for seed in range(5):
         source, index = make_problem(seed)
-        system = linearize(source, index, PoseSE3.identity())
+        system = linearize(source, index, PoseSE3.identity(), RADIUS)
         assert np.linalg.eigvalsh(system.h_global)[0] > -1e-9
         for h in local_hessians(system):
             assert np.linalg.eigvalsh(h)[0] > -1e-9
@@ -86,7 +89,7 @@ def test_global_hessian_positive_semidefinite():
 def test_cost_matches_mahalanobis_definition():
     source, index = make_problem(4)
     pose = random_pose(np.random.default_rng(4))
-    system = linearize(source, index, pose)
+    system = linearize(source, index, pose, RADIUS)
     rot = pose.rotation_matrix()
     total = 0.0
     row = 0
@@ -105,10 +108,10 @@ def test_cost_matches_mahalanobis_definition():
 
 def test_permutation_invariance():
     source, index = make_problem(6)
-    system = linearize(source, index, PoseSE3.identity())
+    system = linearize(source, index, PoseSE3.identity(), RADIUS)
     perm = np.random.default_rng(6).permutation(len(source))
     shuffled = source.select(perm)
-    system2 = linearize(shuffled, index, PoseSE3.identity())
+    system2 = linearize(shuffled, index, PoseSE3.identity(), RADIUS)
     assert np.allclose(system2.h_global, system.h_global)
     assert np.allclose(system2.b_global, system.b_global)
     assert system2.cost == pytest.approx(system.cost)
@@ -137,9 +140,9 @@ def test_linearize_requires_covariances():
     bare = PointCloud([[0.0, 0.0, 0.0]])
     with_cov = PointCloud([[0.0, 0.0, 0.0]], np.eye(3)[None])
     with pytest.raises(ParameterError):
-        linearize(bare, SpatialIndex(with_cov), PoseSE3.identity())
+        linearize(bare, SpatialIndex(with_cov), PoseSE3.identity(), RADIUS)
     with pytest.raises(ParameterError):
-        linearize(with_cov, SpatialIndex(bare), PoseSE3.identity())
+        linearize(with_cov, SpatialIndex(bare), PoseSE3.identity(), RADIUS)
 
 
 def structured_cloud(seed, n=300):
@@ -173,7 +176,7 @@ def test_gauss_newton_final_cost_not_worse_than_initial():
     target = estimate_covariances(structured_cloud(8), k=10)
     init = PoseSE3.from_rpy(0.0, 0.0, 0.03, (0.2, 0.1, 0.0))
     source = estimate_covariances(PointCloud(init.inverse().apply(target.points)), k=10)
-    start = linearize(source, SpatialIndex(target), PoseSE3.identity()).cost
+    start = linearize(source, SpatialIndex(target), PoseSE3.identity(), RADIUS).cost
     result = gauss_newton_align(source, SpatialIndex(target), PoseSE3.identity())
     assert result.final_cost <= start
 
@@ -239,7 +242,7 @@ def test_normal_equations_match_linearize():
         rng = np.random.default_rng(200 + seed)
         source, index = make_problem(seed, n=60)
         pose = random_pose(rng)
-        system = linearize(source, index, pose)
+        system = linearize(source, index, pose, RADIUS)
         ref = whitened_reference(source, index, pose)
         assert np.array_equal(system.correspondences, ref.ids)
         scale = np.abs(ref.h).max()
@@ -290,9 +293,9 @@ def test_linearize_matches_whitened_reference(problem):
     ref = whitened_reference(source, index, pose)
     if not (ref.ids >= 0).any():
         with pytest.raises(DegenerateLinearizationError):
-            linearize(source, index, pose)
+            linearize(source, index, pose, RADIUS)
         return
-    system = linearize(source, index, pose)
+    system = linearize(source, index, pose, RADIUS)
     assert np.array_equal(system.correspondences, ref.ids)
     assert system.num_correspondences == len(ref.weights)
     scale = np.abs(ref.h).max()
@@ -308,7 +311,7 @@ def test_linearize_matches_whitened_reference(problem):
 def test_local_hessians_sum_to_global_and_are_psd(problem):
     source, index, pose = problem
     try:
-        system = linearize(source, index, pose)
+        system = linearize(source, index, pose, RADIUS)
     except DegenerateLinearizationError:
         return
     ref = whitened_reference(source, index, pose)
@@ -328,7 +331,7 @@ def test_local_hessians_sum_to_global_and_are_psd(problem):
 def test_matching_cost_reevaluates_fixed_correspondences(problem, step):
     source, index, pose = problem
     try:
-        system = linearize(source, index, pose)
+        system = linearize(source, index, pose, RADIUS)
     except DegenerateLinearizationError:
         return
     fixed = (source, index.cloud, system.correspondences, system.weights)
@@ -344,7 +347,7 @@ def test_matching_cost_reevaluates_fixed_correspondences(problem, step):
 def test_linear_system_points_are_matched_sources_at_the_pose(problem):
     source, index, pose = problem
     try:
-        system = linearize(source, index, pose)
+        system = linearize(source, index, pose, RADIUS)
     except DegenerateLinearizationError:
         return
     matched = system.correspondences >= 0

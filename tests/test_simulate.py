@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from raycast_oracle import raycast_all_rays
 from smvslab.errors import ParameterError
 from smvslab.geometry import PointCloud
 from smvslab.se3 import PoseSE3
@@ -136,6 +139,60 @@ def test_raycast_noise_deterministic():
     c = raycast_frame(scene, pose, sensor, seed=8)
     assert np.array_equal(a.points, b.points)
     assert not np.array_equal(a.points, c.points)
+
+
+COORD = st.floats(-30.0, 30.0)
+# Whole metres and right angles put some rays exactly on patch edges.
+ANGLE = st.one_of(
+    st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi]), st.floats(-math.pi, math.pi)
+)
+
+
+def metres(lo, hi):
+    return st.one_of(st.integers(int(lo), int(hi)).map(float), st.floats(lo, hi))
+
+
+@st.composite
+def oblique_patches(draw):
+    """Patches of any orientation: corner and edges drawn freely, edges kept
+    from being parallel."""
+    while True:
+        corner, u, v = (tuple(draw(st.tuples(COORD, COORD, COORD))) for _ in range(3))
+        if np.linalg.norm(np.cross(u, v)) >= 1e-3:
+            return Patch(corner, u, v)
+
+
+@st.composite
+def raycast_problems(draw):
+    """A scene in any patch order (so far patches also come before near ones),
+    a sensor and a pose."""
+    archetype = draw(st.sampled_from(["canyon", "open-wall", "mixed", "oblique"]))
+    if archetype == "oblique":
+        patches = draw(st.lists(oblique_patches(), min_size=1, max_size=6))
+    else:
+        patches = build_scene(SceneSpec(archetype, draw(st.sampled_from([12.0, 100.0])))).patches
+    scene = Scene(tuple(draw(st.permutations(patches))), ground=draw(st.booleans()))
+    sensor = SensorModel(
+        rings=draw(st.integers(1, 64)),
+        vertical_fov_deg=draw(st.floats(1.0, 90.0)),
+        horizontal_resolution_deg=draw(st.sampled_from([0.4, 1.0, 2.0, 7.5])),
+        max_range=draw(st.sampled_from([12.0, 30.0, 50.0, 120.0])),
+        range_noise_sigma=draw(st.sampled_from([0.0, 0.01, 0.05])),
+    )
+    rpy = draw(st.tuples(ANGLE, ANGLE, ANGLE))
+    xyz = draw(st.tuples(metres(-15.0, 45.0), metres(-8.0, 8.0), metres(0.2, 4.0)))
+    return scene, PoseSE3.from_rpy(*rpy, xyz), sensor, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(raycast_problems())
+def test_raycast_equals_the_all_rays_oracle(problem):
+    # Culling the rays a patch can no longer win moves no bit of the sweep.
+    scene, pose, sensor, seed = problem
+    got = raycast_frame(scene, pose, sensor, seed=seed)
+    with np.errstate(over="ignore"):  # rays (nearly) parallel to a plane
+        expected = raycast_all_rays(scene, pose, sensor, seed=seed)
+    assert np.array_equal(got.points, expected.points)
 
 
 # ---------------------------------------------------------------- trajectories

@@ -15,7 +15,7 @@ from smvslab.errors import ParameterError
 from smvslab.geometry import AzimuthBinning, PointCloud, load_xyz, save_xyz
 from smvslab.se3 import PoseSE3
 from smvslab.smvs import FrameSmvs, SmvsFrameEntry, SmvsProfile, load_profile_csv
-from smvslab.textio import read_array, read_table, to_array
+from smvslab.textio import read_array, read_table, to_array, write_array
 from smvslab.trajectory import Trajectory
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -52,6 +52,19 @@ def test_xyz_roundtrip_is_bit_exact(points):
         path = os.path.join(tmp, "cloud.xyz")
         save_xyz(cloud, path)
         assert bits(load_xyz(path).points) == bits(cloud.points)
+
+
+@PROPERTY_SETTINGS
+@given(arrays(np.float64, st.tuples(st.integers(0, 20), st.just(3)), elements=FINITE))
+@example(np.array([[-0.0, 5e-324, -2.225073858507201e-308], [1.7e308, -1.7e308, 0.1]]))
+@example(np.empty((0, 3)))
+def test_write_array_equals_the_per_row_writer(points):
+    reference = "".join("{!r} {!r} {!r}\n".format(*row) for row in points.tolist())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cloud.xyz")
+        write_array(path, points)
+        with open(path, "rb") as f:
+            assert f.read() == reference.encode()
 
 
 def line_reader(path):
