@@ -165,7 +165,9 @@ class LazyCovarianceIndex(SpatialIndex):
 
     def covariances_at(self, ids) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
-        todo = np.unique(ids[~self._known[ids]])
+        todo = np.zeros_like(self._known)
+        todo[ids] = True
+        todo = np.flatnonzero(todo & ~self._known)  # sorted and unique, without a sort
         if len(todo):
             self._covs[todo] = _covariances(self, todo, self._k, self._epsilon)
             self._known[todo] = True
@@ -215,20 +217,25 @@ def _check_neighbor_count(cloud: PointCloud, k: int):
 def _neighbor_covariances(index: SpatialIndex, ids, k: int) -> np.ndarray:
     """k-NN sample covariances of the indexed points `ids`.
 
-    Every step works point by point, so a point's result does not depend
-    on which other points are in `ids`.
+    Neighbors are gathered k-major, (k, M, 3): the mean adds whole rows in
+    neighbor order, as `mean(axis=1)` does, and BLAS gets each point's 3 x k
+    by k x 3 product, so the bits are those of an (M, k, 3) gather. Each step
+    works point by point: a point's result does not depend on the other ids.
     """
     pts = index.cloud.points
-    _, nbrs = index.query(pts[ids], k=k)
-    centered = np.take(pts, nbrs, axis=0)           # (M, k, 3)
-    # The mean as `mean(axis=1)` forms it, neighbor by neighbor in order,
-    # without its slow strided reduction: the bits are the same.
-    mean = centered[:, 0].copy()
+    nbrs = index.query(pts[ids], k=k)[1]            # the distances go before the gather
+    centered = np.take(pts, nbrs.T, axis=0)         # (k, M, 3)
+    mean = centered[0].copy()
     for j in range(1, k):
-        mean += centered[:, j]
+        mean += centered[j]
     mean /= k
-    centered -= mean[:, None]
-    return (centered.transpose(0, 2, 1) @ centered) / (k - 1)
+    centered -= mean
+    return (centered.transpose(1, 2, 0) @ centered.transpose(1, 0, 2)) / (k - 1)
+
+
+def _cross(a, b):
+    """a x b on component triples, each component formed as `np.cross` does."""
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
 
 
 def smallest_eigenvectors(a: np.ndarray) -> np.ndarray:
@@ -248,9 +255,10 @@ def smallest_eigenvectors(a: np.ndarray) -> np.ndarray:
 
     The kernel serves any symmetric 3x3, so the top eigenvectors of A are
     `smallest_eigenvectors(-A)`; SMVS takes its local directions that way.
+    Six contiguous rows hold the upper entries, and every sum adds from 0 in
+    the order numpy reduces a (3, 3, M) stack, so the bits are a stack's.
     """
-    a00, a01, a02 = a[:, 0, 0], a[:, 0, 1], a[:, 0, 2]
-    a11, a12, a22 = a[:, 1, 1], a[:, 1, 2], a[:, 2, 2]
+    a00, a01, a02, a11, a12, a22 = a.reshape(-1, 9)[:, [0, 1, 2, 4, 5, 8]].T.copy()
     q = (a00 + a11 + a22) / 3.0
     b00, b11, b22 = a00 - q, a11 - q, a22 - q
     off = a01 * a01 + a02 * a02 + a12 * a12
@@ -262,16 +270,15 @@ def smallest_eigenvectors(a: np.ndarray) -> np.ndarray:
     low = r <= 0.0
     lam = q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + np.where(low, 2.0 * math.pi / 3.0, 0.0))
 
-    # Matrices are (3, 3, M) and vectors (3, M) from here on.
-    m = np.array([[a00 - lam, a01, a02], [a01, a11 - lam, a12], [a02, a12, a22 - lam]])
-    cross = np.cross(m[[1, 2, 0]], m[[2, 0, 1]], axis=1)
-    cross_sq = (cross * cross).sum(axis=1)
-    best = cross_sq.argmax(axis=0)
-    at = np.arange(len(a))
-    e, e_sq = cross[best, :, at].T, cross_sq[best, at]
-    vanish = e_sq <= (1e-12 * (m * m).sum(axis=(0, 1))) ** 2
-    e[:, vanish], e_sq[vanish] = [[1.0], [0.0], [0.0]], 1.0
-    e /= np.sqrt(e_sq)
+    m = ((a00 - lam, a01, a02), (a01, a11 - lam, a12), (a02, a12, a22 - lam))
+    cross = (_cross(m[1], m[2]), _cross(m[2], m[0]), _cross(m[0], m[1]))
+    sq = [sum(x * x for x in c) for c in cross]
+    one, top = sq[1] > sq[0], np.maximum(sq[0], sq[1])   # argmax: the first maximum wins
+    two, e_sq = sq[2] > top, np.maximum(top, sq[2])
+    vanish = e_sq <= (1e-12 * sum(x * x for row in m for x in row)) ** 2
+    norm = np.sqrt(np.where(vanish, 1.0, e_sq))
+    e = [np.where(vanish, float(i == 0), np.where(two, z, np.where(one, y, x))) / norm
+         for i, (x, y, z) in enumerate(zip(*cross))]
 
     # Orthonormal u, v normal to e (Duff et al., JCGT 2017), then the 2x2
     # problem [[u.Mu, u.Mv], [u.Mv, v.Mv]]: its larger eigenvector lies at
@@ -279,12 +286,14 @@ def smallest_eigenvectors(a: np.ndarray) -> np.ndarray:
     s = np.copysign(1.0, e[2])
     h = -1.0 / (s + e[2])
     g = e[0] * e[1] * h
-    u = np.array([1.0 + s * e[0] * e[0] * h, s * g, -s * e[0]])
-    v = np.array([g, s + e[1] * e[1] * h, -e[1]])
-    mu, mv = (m * u).sum(axis=1), (m * v).sum(axis=1)
-    uv, uu_vv = (u * mv).sum(axis=0), (u * mu - v * mv).sum(axis=0)
+    u = (1.0 + s * e[0] * e[0] * h, s * g, -s * e[0])
+    v = (g, s + e[1] * e[1] * h, -e[1])
+    mu, mv = ([sum(x * y for x, y in zip(row, vec)) for row in m] for vec in (u, v))
+    uv = sum(x * y for x, y in zip(u, mv))
+    uu_vv = sum(x * y - z * w for x, y, z, w in zip(u, mu, v, mv))
     phi = 0.5 * np.arctan2(2.0 * uv, uu_vv)
-    return np.where(low, e, np.cos(phi) * v - np.sin(phi) * u).T
+    cos, sin = np.cos(phi), np.sin(phi)
+    return np.array([np.where(low, ei, cos * vi - sin * ui) for ei, ui, vi in zip(e, u, v)]).T
 
 
 def _regularize(raw: np.ndarray, epsilon: float) -> np.ndarray:

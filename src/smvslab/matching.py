@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLinearizationError, DivergenceError, ParameterError
-from .geometry import PointCloud, SpatialIndex
+from .geometry import PointCloud, SpatialIndex, _cross
 from .se3 import PoseSE3, left_update
 
 
@@ -138,7 +138,7 @@ def linearize(
     h[3:, :3] = h[:3, 3:].T
     h[3:, 3:] = w9.sum(axis=0).reshape(3, 3)
     # S^T W d = (W d) x q
-    g = np.concatenate([np.cross(wd, q).sum(axis=0), -wd.sum(axis=0)])
+    g = np.concatenate([np.stack(_cross(wd.T, q.T), axis=1).sum(axis=0), -wd.sum(axis=0)])
     return LinearSystem(
         h_global=h,
         b_global=g,

@@ -27,6 +27,7 @@ from .geometry import (
     LazyCovarianceIndex,
     PointCloud,
     SpatialIndex,
+    _cross,
     azimuth_bins,
     estimate_covariances,
     smallest_eigenvectors,
@@ -195,7 +196,7 @@ def pointwise_smvs(source: PointCloud, index: SpatialIndex) -> ImportanceCloud:
     w = _local_directions(q, system.weights)
     importance = np.zeros(len(source))
     importance[matched] = np.abs(
-        np.einsum("ni,ni->n", w, np.cross(q, x_min[:3]) - x_min[3:])
+        np.einsum("ni,ni->n", w, np.stack(_cross(q.T, x_min[:3]), axis=1) - x_min[3:])
     )
     importance = np.clip(importance, 0.0, 1.0)
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
+from eigen_oracle import smallest_eigenvectors_stacked
 from smvslab import geometry, smvs
 from smvslab.errors import ParameterError, QueryError, UndefinedAzimuthError
 from smvslab.geometry import (
@@ -262,6 +263,75 @@ def test_top_eigenvector_without_a_unique_top_direction():
     w = smvs._local_directions(np.zeros((1, 3)), np.eye(3)[None])[0]
     assert np.isfinite(w).all()
     assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+
+
+def eigen_kernel_batch(family, rng, n=64):
+    """n symmetric 3x3 matrices of one family where the kernel branches."""
+    rot = Rotation.random(n, random_state=rng).as_matrix()
+    scale = 10.0 ** rng.uniform(-6.0, 6.0, (n, 1, 1))
+    if family == "symmetric":
+        x = rng.normal(size=(n, 3, 3))
+        return scale * (x + x.transpose(0, 2, 1))
+    if family in ("psd", "negated_psd", "lower_garbage"):
+        a = scale * np.einsum("nij,nj,nkj->nik", rot, rng.uniform(0.0, 1.0, (n, 3)), rot)
+        if family == "lower_garbage":
+            # Only upper triangles are read.
+            a[:, [1, 2, 2], [0, 0, 1]] = rng.normal(size=(n, 3)) * 1e3
+        return -a if family == "negated_psd" else a
+    if family == "scalar_or_zero":
+        return rng.choice([0.0, -0.0, 1.0, -1.0], (n, 1, 1)) * scale * np.eye(3)
+    if family == "rank_one":
+        v = rng.normal(size=(n, 3))
+        return scale * v[:, :, None] * v[:, None, :]
+    if family == "near_repeated":
+        lam = np.array([1.0, 1.0 + 1e-9, 2.0])[rng.permuted(np.tile([0, 1, 2], (n, 1)), axis=1)]
+        return scale * rng.choice([-1.0, 1.0], (n, 1, 1)) * np.einsum("nij,nj,nkj->nik", rot, lam, rot)
+    assert family == "ones"
+    # s D (I + 11^T) D, D a diagonal of signs: for s > 0 lambda is exact and
+    # the three cross products tie in norm, equal or opposite, so argmax's
+    # first-index rule decides e's sign.
+    d = rng.choice([-1.0, 1.0], (n, 3))
+    s = rng.choice([-1.0, 1.0], (n, 1, 1)) * 2.0 ** rng.integers(-20, 21, (n, 1, 1))
+    return s * d[:, :, None] * (np.eye(3) + 1.0) * d[:, None, :]
+
+
+EIGEN_FAMILIES = [
+    "symmetric", "psd", "negated_psd", "lower_garbage", "scalar_or_zero",
+    "rank_one", "near_repeated", "ones",
+]
+
+
+@settings(max_examples=160, deadline=None, derandomize=True)
+@given(st.sampled_from(EIGEN_FAMILIES), st.integers(0, 2**32 - 1))
+def test_smallest_eigenvectors_equal_the_stacked_kernel(family, seed):
+    a = eigen_kernel_batch(family, np.random.default_rng(seed))
+    got = geometry.smallest_eigenvectors(a)
+    expected = smallest_eigenvectors_stacked(a)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    assert got.strides == expected.strides
+    upper = np.triu(a) + np.triu(a, 1).transpose(0, 2, 1)
+    assert np.array_equal(geometry.smallest_eigenvectors(upper), got)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.lists(st.integers(0, 59), max_size=40), min_size=1, max_size=6),
+)
+def test_lazy_covariances_on_any_sequence_of_id_batches(seed, batches):
+    # Repeated, unordered, empty and already-known ids, over several calls.
+    rng = np.random.default_rng(seed)
+    cloud = PointCloud(rng.normal(size=(60, 3)) * [4.0, 2.0, 0.3])
+    eager = estimate_covariances(cloud, k=8, epsilon=1e-3).covariances
+    lazy = LazyCovarianceIndex(cloud, k=8, epsilon=1e-3)
+    asked = set()
+    for ids in batches:
+        got = lazy.covariances_at(ids)
+        assert got.shape == (len(ids), 3, 3)
+        assert np.array_equal(got, eager[np.array(ids, dtype=np.int64)])
+        asked.update(ids)
+    assert np.array_equal(np.flatnonzero(lazy._known), sorted(asked))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
