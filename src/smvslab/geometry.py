@@ -182,8 +182,9 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
         return PointCloud(np.empty((0, 3)))
     flat = _voxel_keys(cloud.points, voxel)
     uniq, inverse = np.unique(flat, return_inverse=True)
-    sums = np.zeros((len(uniq), 3))
-    np.add.at(sums, inverse, cloud.points)
+    sums = np.column_stack(
+        [np.bincount(inverse, weights=column, minlength=len(uniq)) for column in cloud.points.T]
+    )
     counts = np.bincount(inverse, minlength=len(uniq)).astype(np.float64)
     return PointCloud(sums / counts[:, None])
 

@@ -4,7 +4,7 @@ generation with exact ground truth."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,32 +57,43 @@ class SensorModel:
         return -math.pi + np.arange(steps) * res
 
     def ray_directions(self) -> np.ndarray:
-        """Unit directions for every (ring, azimuth step), sensor frame."""
-        phi = self.ring_elevations()
-        theta = self.azimuth_steps()
-        tt, pp = np.meshgrid(theta, phi, indexing="ij")
-        return np.column_stack(
-            (
-                (np.cos(pp) * np.cos(tt)).ravel(),
-                (np.cos(pp) * np.sin(tt)).ravel(),
-                np.sin(pp).ravel(),
-            )
-        )
+        """Unit directions for every (ring, azimuth step), sensor frame: one
+        read-only array, computed on the first call and kept on the sensor."""
+        if "_dirs" not in self.__dict__:
+            tt, pp = np.meshgrid(self.azimuth_steps(), self.ring_elevations(), indexing="ij")
+            cp = np.cos(pp)
+            dirs = np.stack((cp * np.cos(tt), cp * np.sin(tt), np.sin(pp)), axis=-1).reshape(-1, 3)
+            dirs.flags.writeable = False
+            object.__setattr__(self, "_dirs", dirs)
+        return self._dirs
 
 
 @dataclass(frozen=True)
 class Patch:
-    """Rectangular wall patch: corner plus two edge vectors."""
+    """Rectangular wall patch: corner plus two edge vectors, and its plane computed
+    once in float64: `point`, `u`, `v`, `normal` = u x v, `uu` = u @ u, `vv` = v @ v."""
 
     corner: tuple[float, float, float]
     edge_u: tuple[float, float, float]
     edge_v: tuple[float, float, float]
+    point: np.ndarray = field(init=False, repr=False, compare=False)
+    u: np.ndarray = field(init=False, repr=False, compare=False)
+    v: np.ndarray = field(init=False, repr=False, compare=False)
+    normal: np.ndarray = field(init=False, repr=False, compare=False)
+    uu: float = field(init=False, repr=False, compare=False)
+    vv: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        point = np.asarray(self.corner, dtype=np.float64)
         u = np.asarray(self.edge_u, dtype=np.float64)
         v = np.asarray(self.edge_v, dtype=np.float64)
-        if np.linalg.norm(np.cross(u, v)) < 1e-12:
+        normal = np.cross(u, v)
+        if np.linalg.norm(normal) < 1e-12:
             raise ParameterError("degenerate patch: edge vectors are parallel")
+        for name, value in dict(point=point, u=u, v=v, normal=normal, uu=u @ u, vv=v @ v).items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -199,7 +210,8 @@ class TrajectorySpec:
 def _polyline_poses(spec: TrajectorySpec) -> list[PoseSE3]:
     wps = np.asarray(spec.waypoints, dtype=np.float64)
     seg = np.diff(wps, axis=0)
-    seg_len = np.linalg.norm(seg, axis=1)
+    with np.errstate(over="ignore"):        # an infinite length fails the frame limit
+        seg_len = np.linalg.norm(seg, axis=1)
     if np.any(seg_len < 1e-12):
         raise ParameterError("repeated waypoints")
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
@@ -231,33 +243,31 @@ def raycast_frame(
     sensor: SensorModel,
     seed: int | np.random.SeedSequence = 0,
 ) -> PointCloud:
-    """One sensor sweep: nearest patch hit per ray, Gaussian range noise."""
+    """One sensor sweep: nearest patch hit per ray, Gaussian range noise.
+    The ground plane goes first, so a patch skips the rays whose ground hit
+    is closer; `best` keeps each ray's smallest valid t, so order moves no bit."""
     dirs_local = sensor.ray_directions()
     rotation = pose.rotation_matrix()
     dirs = dirs_local @ rotation.T
     origin = np.asarray(pose.translation, dtype=np.float64)
 
-    best = np.full(len(dirs), np.inf)
     # A ray (nearly) parallel to a plane gets a t of +-inf or nan, or overflows.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if scene.ground:
+            best = -origin[2] / dirs[:, 2]
+            best[~(np.isfinite(best) & (best > 1e-6))] = np.inf
+        else:
+            best = np.full(len(dirs), np.inf)
         for patch in scene.patches:
-            corner = np.asarray(patch.corner, dtype=np.float64)
-            u = np.asarray(patch.edge_u, dtype=np.float64)
-            v = np.asarray(patch.edge_v, dtype=np.float64)
-            normal = np.cross(u, v)
-            t = ((corner - origin) @ normal) / (dirs @ normal)
+            t = ((patch.point - origin) @ patch.normal) / (dirs @ patch.normal)
             # Only the rays this patch can still win go on to the in-patch test.
             rays = np.flatnonzero(np.isfinite(t) & (t > 1e-6) & (t < best))
             t = t[rays]
-            rel = origin + dirs[rays] * t[:, None] - corner
-            alpha = rel @ u / (u @ u)
-            beta = rel @ v / (v @ v)
+            rel = origin + dirs[rays] * t[:, None] - patch.point
+            alpha = rel @ patch.u / patch.uu
+            beta = rel @ patch.v / patch.vv
             hit = (alpha >= 0) & (alpha <= 1) & (beta >= 0) & (beta <= 1)
             best[rays[hit]] = t[hit]
-        if scene.ground:
-            t = -origin[2] / dirs[:, 2]
-            closer = np.isfinite(t) & (t > 1e-6) & (t < best)
-            best[closer] = t[closer]
 
     returned = best <= sensor.max_range
     ranges = best[returned]

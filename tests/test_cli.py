@@ -159,6 +159,7 @@ def test_bad_input_exits_1_without_traceback(tmp_path, argv, env):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_scene_rejects_a_course_beyond_the_frame_limit(tmp_path, capsys, monkeypatch):
     # 1e300 m overflows the course length to inf; 1e100 m is finite and far
     # past the limit at 0.6 m per frame. The bound must fire before the

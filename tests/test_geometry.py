@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
@@ -147,6 +147,35 @@ def test_voxel_downsample_bruteforce_oracle():
     expected = {tuple(np.round(np.mean(g, axis=0), 9)) for g in groups.values()}
     got = {tuple(np.round(p, 9)) for p in out.points}
     assert got == expected
+
+
+def _voxel_downsample_add_at(points, voxel):
+    """The `np.add.at` centroid sums that `voxel_downsample` is checked
+    against bit for bit."""
+    uniq, inverse = np.unique(geometry._voxel_keys(points, voxel), return_inverse=True)
+    sums = np.zeros((len(uniq), 3))
+    np.add.at(sums, inverse, points)
+    return sums / np.bincount(inverse, minlength=len(uniq)).astype(np.float64)[:, None]
+
+
+@st.composite
+def voxel_clouds(draw):
+    """Clouds of 1-300 points with negative coordinates and repeated rows."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-draw(st.floats(0.1, 40.0)), draw(st.floats(0.1, 40.0)), size=(n, 3))
+    repeats = rng.integers(0, n, size=draw(st.integers(0, n)))
+    pts = np.concatenate([pts, pts[repeats]])
+    return pts[rng.permutation(len(pts))], draw(st.floats(0.05, 2.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(voxel_clouds())
+@example((np.array([[-1.25, 3.5, -0.1]]), 0.05))
+def test_voxel_downsample_equals_the_add_at_sums(problem):
+    pts, voxel = problem
+    assert np.array_equal(voxel_downsample(PointCloud(pts), voxel).points,
+                          _voxel_downsample_add_at(pts, voxel))
 
 
 def test_voxel_dedup_keeps_first_point():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -55,6 +56,49 @@ def test_ray_directions_are_unit():
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
 
 
+def test_ray_directions_are_computed_once_and_read_only():
+    sensor = SensorModel(rings=8, horizontal_resolution_deg=5.0)
+    dirs = sensor.ray_directions()
+    assert sensor.ray_directions() is dirs
+    with pytest.raises(ValueError):
+        dirs[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("rings", [1, 8, 32])
+def test_ray_directions_equal_the_meshgrid_formula(rings):
+    # The raycast oracle reads `ray_directions()` too; only this check sees
+    # a wrong stored array.
+    sensor = SensorModel(rings=rings, vertical_fov_deg=40.0, horizontal_resolution_deg=0.4)
+    tt, pp = np.meshgrid(sensor.azimuth_steps(), sensor.ring_elevations(), indexing="ij")
+    expected = np.column_stack(
+        (
+            (np.cos(pp) * np.cos(tt)).ravel(),
+            (np.cos(pp) * np.sin(tt)).ravel(),
+            np.sin(pp).ravel(),
+        )
+    )
+    sensor.ray_directions()
+    assert np.array_equal(sensor.ray_directions(), expected)
+
+
+def test_stored_rays_leave_sensor_equality_and_hash_alone():
+    a, b = SensorModel(rings=4), SensorModel(rings=4)
+    a.ray_directions()
+    assert a == b and hash(a) == hash(b)
+    assert a != SensorModel(rings=5)
+    assert "_dirs" not in repr(a)
+
+
+def test_replaced_sensor_gets_its_own_rays():
+    a = SensorModel(rings=4, horizontal_resolution_deg=10.0)
+    dirs = a.ray_directions()
+    same = dataclasses.replace(a)
+    assert same.ray_directions() is not dirs
+    assert np.array_equal(same.ray_directions(), dirs)
+    assert dataclasses.replace(a, rings=6).ray_directions().shape == (36 * 6, 3)
+    assert a.ray_directions() is dirs
+
+
 def test_sensor_validation():
     for bad in (
         {"max_range": 0.0}, {"max_range": -1.0}, {"max_range": math.nan},
@@ -74,8 +118,23 @@ def test_sensor_validation():
 
 
 def test_patch_rejects_parallel_edges():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="degenerate"):
         Patch((0, 0, 0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0))
+
+
+def test_patch_keeps_its_plane():
+    patch = Patch((1, -2, 0), (0.5, 3.0, -1.0), (2, 0, 4.5))
+    u, v = np.asarray(patch.edge_u, float), np.asarray(patch.edge_v, float)
+    assert np.array_equal(patch.normal, np.cross(u, v))
+    assert np.array_equal(patch.point, [1.0, -2.0, 0.0]) and patch.point.dtype == np.float64
+    assert np.array_equal(patch.u, u) and np.array_equal(patch.v, v)
+    assert patch.uu == u @ u and patch.vv == v @ v
+    with pytest.raises(ValueError):
+        patch.normal[0] = 0.0
+    # Equality, hash and repr still read only the three fields.
+    twin = Patch((1.0, -2.0, 0.0), (0.5, 3.0, -1.0), (2.0, 0.0, 4.5))
+    assert patch == twin and hash(patch) == hash(twin)
+    assert "normal" not in repr(patch)
 
 
 def test_archetype_scenes_build():
@@ -187,7 +246,8 @@ def raycast_problems(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(raycast_problems())
 def test_raycast_equals_the_all_rays_oracle(problem):
-    # Culling the rays a patch can no longer win moves no bit of the sweep.
+    # Casting the ground plane first and culling the rays a patch can no
+    # longer win move no bit of the sweep.
     scene, pose, sensor, seed = problem
     got = raycast_frame(scene, pose, sensor, seed=seed)
     with np.errstate(over="ignore"):  # rays (nearly) parallel to a plane
@@ -232,6 +292,7 @@ def test_trajectory_spec_validation():
             TrajectorySpec(waypoints=((0.0, 0.0), (bad, 0.0)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_polyline_frame_limit(monkeypatch):
     # The bound is checked before any pose is built.
     def built(*args, **kwargs):
