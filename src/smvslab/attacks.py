@@ -21,6 +21,7 @@ INJECTION = "injection"
 ATTACK_MODELS = (REMOVAL_NO_NOISE, REMOVAL_NOISE, INJECTION)
 
 DEFAULT_HALF_WIDTH = math.radians(40.0)
+SPOOFER_HEIGHT = 1.0                    # meters above the ground plane
 
 
 @dataclass(frozen=True)
@@ -53,32 +54,31 @@ class AttackSpec:
     def __post_init__(self):
         if self.model not in ATTACK_MODELS:
             raise ParameterError(f"unknown attack model {self.model!r}")
-        if self.wall_distance <= 0:
-            raise ParameterError("wall distance must be > 0")
+        if not 0 < self.wall_distance < math.inf:
+            raise ParameterError("wall distance must be finite and > 0")
         if self.layers < 1:
             raise ParameterError("need at least 1 injectable layer")
-        if not self.noise_range[0] < self.noise_range[1]:
-            raise ParameterError("noise range must satisfy r_min < r_max")
+        if not 0 <= self.noise_range[0] < self.noise_range[1] < math.inf:
+            raise ParameterError("noise range must satisfy 0 <= r_min < r_max, both finite")
 
 
 @dataclass(frozen=True)
 class SpooferState:
     position: tuple[float, float]       # world ground plane, meters
-    height: float = 1.0
-    max_range: float = 50.0
+    max_range: float
 
     def __post_init__(self):
-        if self.max_range <= 0:
+        if not all(map(math.isfinite, self.position)):
+            raise ParameterError(f"spoofer position {self.position} must be finite")
+        if not self.max_range > 0:
             raise ParameterError("max effective range must be > 0")
 
 
 def spoof_window(
-    victim_pose: PoseSE3,
-    spoofer: SpooferState,
-    half_width: float = DEFAULT_HALF_WIDTH,
+    victim_pose: PoseSE3, spoofer: SpooferState, half_width: float
 ) -> AzimuthWindow | None:
     """Window seen by the victim sensor, or None when out of range."""
-    world = np.array([spoofer.position[0], spoofer.position[1], spoofer.height])
+    world = np.array([spoofer.position[0], spoofer.position[1], SPOOFER_HEIGHT])
     local = victim_pose.inverse().apply(world.reshape(1, 3))[0]
     planar = math.hypot(local[0], local[1])
     if planar > spoofer.max_range:
@@ -95,20 +95,16 @@ def _planar(points: np.ndarray):
 def apply_removal(
     frame: PointCloud,
     window: AzimuthWindow,
-    with_noise: bool,
     spec: AttackSpec,
-    sensor: SensorModel | None = None,
-    rng: np.random.Generator | None = None,
+    sensor: SensorModel,
+    rng: np.random.Generator,
 ) -> PointCloud:
-    """Delete in-window points; optionally replace them one-for-one with
-    salt-and-pepper noise (uniform azimuth/elevation/range)."""
-    sensor = sensor or SensorModel()
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(spec.seed))
+    """Delete in-window points; under `REMOVAL_NOISE` replace them
+    one-for-one with salt-and-pepper noise (uniform azimuth/elevation/range)."""
     azim, _ = _planar(frame.points)
     inside = window.contains(azim)
     kept = frame.points[~inside]
-    if not with_noise:
+    if spec.model != REMOVAL_NOISE:
         return PointCloud(kept)
     count = int(np.count_nonzero(inside))
     theta = window.center + rng.uniform(-window.half_width, window.half_width, count)
@@ -125,7 +121,7 @@ def apply_injection(
     frame: PointCloud,
     window: AzimuthWindow,
     spec: AttackSpec,
-    sensor: SensorModel | None = None,
+    sensor: SensorModel,
 ) -> PointCloud:
     """Inject a wall arc at fixed planar range across the window.
 
@@ -133,7 +129,6 @@ def apply_injection(
     nearer points survive. The arc is sampled at the sensor's horizontal
     resolution on min(layers, rings) rings centered on the horizon.
     """
-    sensor = sensor or SensorModel()
     if spec.wall_distance >= sensor.max_range:
         raise ParameterError("wall distance must be below the sensor max range")
 
@@ -171,14 +166,12 @@ def apply_attack(
     frame: PointCloud,
     window: AzimuthWindow,
     spec: AttackSpec,
-    sensor: SensorModel | None = None,
-    rng: np.random.Generator | None = None,
+    sensor: SensorModel,
+    rng: np.random.Generator,
 ) -> PointCloud:
-    if spec.model == REMOVAL_NO_NOISE:
-        return apply_removal(frame, window, False, spec, sensor, rng)
-    if spec.model == REMOVAL_NOISE:
-        return apply_removal(frame, window, True, spec, sensor, rng)
-    return apply_injection(frame, window, spec, sensor)
+    if spec.model == INJECTION:
+        return apply_injection(frame, window, spec, sensor)
+    return apply_removal(frame, window, spec, sensor, rng)
 
 
 def attack_dataset(
@@ -186,7 +179,7 @@ def attack_dataset(
     ground_truth: Trajectory,
     spoofer: SpooferState,
     spec: AttackSpec,
-    sensor: SensorModel | None = None,
+    sensor: SensorModel,
 ) -> FrameDataset:
     """Apply the attack frame-by-frame, aiming at the true vehicle pose.
 
@@ -196,7 +189,6 @@ def attack_dataset(
     """
     if len(dataset) != len(ground_truth):
         raise ParameterError("dataset and ground-truth lengths differ")
-    sensor = sensor or SensorModel()
     frames = []
     for i, frame in enumerate(dataset.frames):
         window = spoof_window(ground_truth.poses[i], spoofer, spec.half_width)

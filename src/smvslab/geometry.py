@@ -190,11 +190,14 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
 
 
 def _voxel_keys(points: np.ndarray, voxel: float) -> np.ndarray:
-    """Collision-free scalar voxel key per point (keys shifted to zero)."""
-    keys = np.floor(points / voxel).astype(np.int64)
-    keys -= keys.min(axis=0)
-    dims = keys.max(axis=0) + 1
-    return (keys[:, 0] * dims[1] + keys[:, 1]) * dims[2] + keys[:, 2]
+    """Collision-free scalar voxel key per point (keys shifted to zero),
+    built one contiguous int64 column per coordinate."""
+    flat = np.zeros(len(points), dtype=np.int64)
+    for column in points.T:
+        keys = np.floor(column / voxel).astype(np.int64)
+        keys -= keys.min()
+        flat = flat * (keys.max() + 1) + keys
+    return flat
 
 
 def voxel_dedup(cloud: PointCloud, voxel: float) -> PointCloud:

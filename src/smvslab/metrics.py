@@ -145,8 +145,8 @@ class BucketTable:
     def num_buckets(self) -> int:
         return len(self.edges)
 
-    def save_csv(self, path, models=None):
-        models = models or sorted({m for _, m in self.cells})
+    def save_csv(self, path):
+        models = sorted({m for _, m in self.cells})
         header = "bucket," + ",".join(
             f"{m}_mean_m,{m}_std_m,{m}_mean_deg,{m}_std_deg,{m}_count" for m in models
         )

@@ -106,11 +106,8 @@ def odometry_run(dataset: FrameDataset):
         # covariances re-estimated from map-local neighborhoods (per-frame
         # covariances are markedly worse normals near voxel boundaries),
         # estimated only for the map points a match touches.
-        recent.append(PointCloud(pose.apply(source.points)))
-        merged = voxel_dedup(
-            PointCloud(np.concatenate([c.points for c in recent], axis=0)),
-            GICP.map_voxel,
-        )
+        recent.append(pose.apply(source.points))
+        merged = voxel_dedup(PointCloud(np.concatenate(recent, axis=0)), GICP.map_voxel)
         k = min(GICP.covariance_k, len(merged))
         map_index = LazyCovarianceIndex(merged, k=k, epsilon=GICP.covariance_epsilon)
 
@@ -134,11 +131,7 @@ def clear_caches():
     _prepare_map.cache_clear()
 
 
-def priormap_localize(
-    dataset: FrameDataset,
-    prior_map: PointCloud,
-    init: PoseSE3 | None = None,
-):
+def priormap_localize(dataset: FrameDataset, prior_map: PointCloud, init: PoseSE3):
     """Localize every frame against a static prior map.
 
     Each frame is seeded with the previous frame's estimate (the init for
@@ -148,7 +141,6 @@ def priormap_localize(
         raise ParameterError("dataset must contain at least one frame")
     if len(prior_map) == 0:
         raise ParameterError("prior map is empty")
-    init = init or PoseSE3.identity()
 
     map_index = _prepare_map(prior_map)
 

@@ -152,7 +152,7 @@ def choose_recommended(result: PlacementResult) -> np.ndarray:
     return result.recommended[0] if side >= 0 else result.recommended[1]
 
 
-def save_placement(result: PlacementResult, path, csv_path=None):
+def save_placement(result: PlacementResult, path, csv_path):
     """key=value lines of the result; `csv_path` gets the kept intersections."""
 
     def xy(name, v):
@@ -169,5 +169,4 @@ def save_placement(result: PlacementResult, path, csv_path=None):
         *xy("recommended_b", result.recommended[1]),
     ]
     write_table(path, "{}={!r}", rows)
-    if csv_path is not None:
-        write_table(csv_path, "{!r},{!r}", result.kept_points.tolist(), header="x,y")
+    write_table(csv_path, "{!r},{!r}", result.kept_points.tolist(), header="x,y")

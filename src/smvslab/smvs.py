@@ -245,7 +245,7 @@ def frame_seed(global_seed: int, frame_id: int) -> int:
 def trajectory_smvs(
     dataset: FrameDataset,
     benign_trajectory: Trajectory,
-    cfg: SmvsConfig | None = None,
+    cfg: SmvsConfig,
 ) -> SmvsProfile:
     """Frame-wise SMVS along a benign run; deterministic given cfg.seed.
 
@@ -253,7 +253,6 @@ def trajectory_smvs(
     are independent, so analysis fans out over cfg.threads with results
     merged in frame order.
     """
-    cfg = cfg or SmvsConfig()
     if len(dataset) != len(benign_trajectory):
         raise ParameterError("dataset and trajectory lengths differ")
 

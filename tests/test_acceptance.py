@@ -92,7 +92,6 @@ def spoofer_toward_peak_region(entry, max_range=SPOOFER_RANGE):
     p = entry.pose.translation
     return SpooferState(
         (p[0] + STANDOFF * math.cos(angle), p[1] + STANDOFF * math.sin(angle)),
-        height=1.0,
         max_range=max_range,
     )
 
@@ -112,7 +111,7 @@ def attacked_ape_pair(course, gt_relative, prior_map, spoofer, seed):
 
 def attacked_priormap_ape(course, prior_map, position, seed):
     spoofer = SpooferState(
-        (float(position[0]), float(position[1])), height=1.0, max_range=SPOOFER_RANGE
+        (float(position[0]), float(position[1])), max_range=SPOOFER_RANGE
     )
     spec = AttackSpec(model="removal_noise", noise_range=ATTACK_NOISE_RANGE, seed=seed)
     attacked = attack_dataset(course, course.ground_truth, spoofer, spec, SENSOR)
@@ -408,9 +407,9 @@ def test_criterion_6_attack_geometry(capsys):
         removed = apply_removal(
             frame,
             AzimuthWindow(center=center),
-            False,
             AttackSpec(model="removal_no_noise"),
             SENSOR,
+            rng,
         )
         no_gain = no_gain and len(removed) <= len(frame)
     window = AzimuthWindow(center=0.7)

@@ -5,6 +5,7 @@ import pytest
 
 from smvslab.attacks import (
     ATTACK_MODELS,
+    DEFAULT_HALF_WIDTH,
     AttackSpec,
     AzimuthWindow,
     SpooferState,
@@ -20,6 +21,20 @@ from smvslab.geometry import PointCloud
 from smvslab.se3 import PoseSE3
 from smvslab.simulate import SensorModel
 from smvslab.trajectory import Trajectory
+
+# The sensor the CLI builds from its default flags.
+SENSOR = SensorModel(
+    rings=16,
+    vertical_fov_deg=30.0,
+    horizontal_resolution_deg=1.0,
+    max_range=30.0,
+    range_noise_sigma=0.01,
+)
+
+
+def frame_rng(spec, frame_id=0):
+    """The generator `attack_dataset` derives for one frame."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([spec.seed, frame_id])))
 
 
 def random_frame(seed, n=500, spread=20.0):
@@ -83,10 +98,37 @@ def test_attack_spec_validation():
     assert set(ATTACK_MODELS) == {"removal_no_noise", "removal_noise", "injection"}
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"wall_distance": math.nan},
+    {"wall_distance": math.inf},
+    {"noise_range": (-20.0, 5.0)},
+    {"noise_range": (math.nan, 5.0)},
+    {"noise_range": (1.0, math.nan)},
+    {"noise_range": (1.0, math.inf)},
+    {"noise_range": (-math.inf, 5.0)},
+], ids=["nan-wall", "inf-wall", "negative-r-min", "nan-r-min", "nan-r-max",
+        "inf-r-max", "minus-inf-r-min"])
+def test_attack_spec_rejects_non_finite_or_negative_distances(kwargs):
+    with pytest.raises(ParameterError):
+        AttackSpec(**kwargs)
+
+
+@pytest.mark.parametrize("position, max_range", [
+    ((math.nan, 0.0), 18.0),
+    ((0.0, math.inf), 18.0),
+    ((0.0, 0.0), math.nan),
+    ((0.0, 0.0), 0.0),
+    ((0.0, 0.0), -18.0),
+], ids=["nan-x", "inf-y", "nan-range", "zero-range", "negative-range"])
+def test_spoofer_rejects_non_finite_position_and_bad_range(position, max_range):
+    with pytest.raises(ParameterError):
+        SpooferState(position, max_range=max_range)
+
+
 def test_spoof_window_geometry():
     pose = PoseSE3.from_rpy(0.0, 0.0, math.pi / 2, (10.0, 0.0, 1.5))
     spoofer = SpooferState(position=(10.0, 5.0), max_range=50.0)
-    window = spoof_window(pose, spoofer)
+    window = spoof_window(pose, spoofer, DEFAULT_HALF_WIDTH)
     # Spoofer is straight ahead of the rotated sensor.
     assert window.center == pytest.approx(0.0, abs=1e-9)
 
@@ -94,7 +136,7 @@ def test_spoof_window_geometry():
 def test_spoof_window_out_of_range():
     pose = PoseSE3.identity()
     spoofer = SpooferState(position=(100.0, 0.0), max_range=18.0)
-    assert spoof_window(pose, spoofer) is None
+    assert spoof_window(pose, spoofer, DEFAULT_HALF_WIDTH) is None
 
 
 # ---------------------------------------------------------------- removal
@@ -103,7 +145,8 @@ def test_spoof_window_out_of_range():
 def test_removal_without_noise_never_gains_points():
     frame = random_frame(1)
     window = AzimuthWindow(center=0.5)
-    out = apply_removal(frame, window, False, AttackSpec(model="removal_no_noise"))
+    spec = AttackSpec(model="removal_no_noise")
+    out = apply_removal(frame, window, spec, SENSOR, frame_rng(spec))
     assert len(out) <= len(frame)
     # Every surviving point is outside the window, every removed one inside.
     assert not window.contains(planar_angles(out.points)).any()
@@ -115,7 +158,7 @@ def test_removal_with_noise_preserves_count():
     frame = random_frame(2)
     window = AzimuthWindow(center=-1.2)
     spec = AttackSpec(model="removal_noise", noise_range=(1.0, 30.0), seed=3)
-    out = apply_removal(frame, window, True, spec)
+    out = apply_removal(frame, window, spec, SENSOR, frame_rng(spec))
     assert len(out) == len(frame)
 
 
@@ -123,8 +166,8 @@ def test_removal_noise_points_land_inside_window_and_range():
     frame = random_frame(3)
     window = AzimuthWindow(center=2.0)
     spec = AttackSpec(model="removal_noise", noise_range=(2.0, 25.0), seed=4)
-    sensor = SensorModel()
-    out = apply_removal(frame, window, True, spec, sensor)
+    sensor = SENSOR
+    out = apply_removal(frame, window, spec, sensor, frame_rng(spec))
     inside_before = int(window.contains(planar_angles(frame.points)).sum())
     noise = out.points[len(frame) - inside_before:]
     assert len(noise) == inside_before
@@ -213,8 +256,8 @@ def test_attack_dataset_deterministic():
     ds, gt = make_dataset()
     spoofer = SpooferState(position=(3.0, 4.0), max_range=50.0)
     spec = AttackSpec(model="removal_noise", seed=9)
-    a = attack_dataset(ds, gt, spoofer, spec)
-    b = attack_dataset(ds, gt, spoofer, spec)
+    a = attack_dataset(ds, gt, spoofer, spec, SENSOR)
+    b = attack_dataset(ds, gt, spoofer, spec, SENSOR)
     for fa, fb in zip(a.frames, b.frames):
         assert np.array_equal(fa.points, fb.points)
 
@@ -224,7 +267,7 @@ def test_attack_dataset_out_of_range_frames_untouched():
     # In range only near the start of the course.
     spoofer = SpooferState(position=(0.0, 3.0), max_range=3.5)
     spec = AttackSpec(model="removal_no_noise", seed=0)
-    out = attack_dataset(ds, gt, spoofer, spec)
+    out = attack_dataset(ds, gt, spoofer, spec, SENSOR)
     assert np.array_equal(out.frames[-1].points, ds.frames[-1].points)
     assert len(out.frames[0]) < len(ds.frames[0])
 
@@ -233,15 +276,20 @@ def test_attack_dataset_length_mismatch():
     ds, gt = make_dataset()
     short = Trajectory(gt.timestamps[:2], gt.poses[:2])
     with pytest.raises(ParameterError):
-        attack_dataset(ds, short, SpooferState((0.0, 0.0)), AttackSpec())
+        attack_dataset(ds, short, SpooferState((0.0, 0.0), max_range=18.0), AttackSpec(), SENSOR)
 
 
 def test_apply_attack_dispatches_models():
     frame = random_frame(8)
     window = AzimuthWindow(center=0.0)
-    removal = apply_attack(frame, window, AttackSpec(model="removal_no_noise"))
-    noisy = apply_attack(frame, window, AttackSpec(model="removal_noise"))
-    injected = apply_attack(frame, window, AttackSpec(model="injection"))
+
+    def attack(model):
+        spec = AttackSpec(model=model)
+        return apply_attack(frame, window, spec, SENSOR, frame_rng(spec))
+
+    removal = attack("removal_no_noise")
+    noisy = attack("removal_noise")
+    injected = attack("injection")
     assert len(removal) < len(frame)
     assert len(noisy) == len(frame)
     assert len(injected) != len(removal)

@@ -126,16 +126,20 @@ def test_pyproject_reads_the_package_version():
     (["scene", "--hres", "nan"], {}),
     (["scene", "--range-noise", "nan"], {}),
     (["scene", "--range-noise", "-1"], {}),
+    (["attack", "--dataset", "attack", "--spoofer-x", "nan", "--spoofer-y", "0"], {}),
 ], ids=["missing-dataset", "missing-trajectory", "missing-config", "bad-seed-env",
         "empty-init-trajectory", "one-frame-profile", "non-numeric-edges", "one-edge",
         "decreasing-edges", "nan-standoff", "inf-standoff", "nan-length", "nan-rate",
         "negative-length", "inf-speed", "nan-max-range", "nan-vfov", "nan-hres",
-        "nan-range-noise", "negative-range-noise"])
+        "nan-range-noise", "negative-range-noise", "nan-spoofer-x"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv, env):
-    # A one-frame dataset (the frame doubles as the map), a trajectory
-    # file with no poses, a one-frame and a four-frame SMVS profile and a
-    # one-row run table.
+    # A one-frame dataset (the frame doubles as the map), its copy with
+    # ground truth, a trajectory file with no poses, a one-frame and a
+    # four-frame SMVS profile and a one-row run table.
     (tmp_path / "000000.xyz").write_text("0.0 0.0 0.0\n1.0 0.0 0.0\n")
+    (tmp_path / "attack").mkdir()
+    (tmp_path / "attack" / "000000.xyz").write_text("0.0 0.0 0.0\n1.0 0.0 0.0\n")
+    (tmp_path / "attack" / "groundtruth.txt").write_text("0.0 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n")
     (tmp_path / "runs.csv").write_text("smvs,model,ape_m,ape_deg\n-5000.0,injection,0.1,0.2\n")
     (tmp_path / "empty.txt").write_text("# timestamp tx ty tz qx qy qz qw\n")
     header = "frame_id,timestamp,smvs,k_center,tx,ty,tz,qx,qy,qz,qw,n_regions,degenerate\n"

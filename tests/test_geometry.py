@@ -151,8 +151,13 @@ def test_voxel_downsample_bruteforce_oracle():
 
 def _voxel_downsample_add_at(points, voxel):
     """The `np.add.at` centroid sums that `voxel_downsample` is checked
-    against bit for bit."""
-    uniq, inverse = np.unique(geometry._voxel_keys(points, voxel), return_inverse=True)
+    against bit for bit, over voxel keys built in (N, 3) form, so a change
+    of key order fails too."""
+    keys = np.floor(points / voxel).astype(np.int64)
+    keys -= keys.min(axis=0)
+    dims = keys.max(axis=0) + 1
+    flat = (keys[:, 0] * dims[1] + keys[:, 1]) * dims[2] + keys[:, 2]
+    uniq, inverse = np.unique(flat, return_inverse=True)
     sums = np.zeros((len(uniq), 3))
     np.add.at(sums, inverse, points)
     return sums / np.bincount(inverse, minlength=len(uniq)).astype(np.float64)[:, None]

@@ -67,9 +67,9 @@ def test_priormap_tracks_short_course(short_course):
     assert all(s.converged for s in statuses)
 
 
-def test_priormap_default_init_is_identity(short_course):
+def test_priormap_locks_on_from_identity_init(short_course):
     prior = build_prior_map(short_course, short_course.ground_truth)
-    est, _ = priormap_localize(short_course, prior)
+    est, _ = priormap_localize(short_course, prior, init=PoseSE3.identity())
     # Identity init coincides with the ground-truth start except for height,
     # so localization still locks on.
     assert np.isfinite([p.translation for p in est.poses]).all()
@@ -80,12 +80,12 @@ def test_empty_dataset_rejected():
     with pytest.raises(ParameterError):
         odometry_run(empty)
     with pytest.raises(ParameterError):
-        priormap_localize(empty, PointCloud([[0.0, 0.0, 0.0]]))
+        priormap_localize(empty, PointCloud([[0.0, 0.0, 0.0]]), init=PoseSE3.identity())
 
 
 def test_empty_prior_map_rejected(short_course):
     with pytest.raises(ParameterError):
-        priormap_localize(short_course, PointCloud(np.empty((0, 3))))
+        priormap_localize(short_course, PointCloud(np.empty((0, 3))), init=PoseSE3.identity())
 
 
 def test_sparse_frame_rejected():

@@ -406,7 +406,7 @@ def test_trajectory_smvs_length_mismatch():
 
     short = Trajectory(ds.ground_truth.timestamps[:2], ds.ground_truth.poses[:2])
     with pytest.raises(ParameterError):
-        trajectory_smvs(ds, short)
+        trajectory_smvs(ds, short, SmvsConfig())
 
 
 def test_profile_csv_roundtrip(tmp_path):
