@@ -47,7 +47,7 @@ class AttackSpec:
     model: str = REMOVAL_NOISE
     wall_distance: float = 5.0
     layers: int = 10
-    noise_range: tuple[float, float] = (1.0, 50.0)
+    noise_range: tuple[float, float] = (1.0, 30.0)
     half_width: float = DEFAULT_HALF_WIDTH
     seed: int = 0
 

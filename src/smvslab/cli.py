@@ -4,6 +4,7 @@ profiling, placement, attack simulation and evaluation."""
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import os
 import sys
@@ -75,47 +76,56 @@ def _add_common(p):
     p.add_argument("--config", default=None, help="key=value config file; flags win")
 
 
+def _default(fn, name):
+    """The default of `fn`'s parameter `name`. Each flag reads a default that a
+    library type or function owns from it, so the CLI's defaults are the library's."""
+    return inspect.signature(fn).parameters[name].default
+
+
 def _add_course(p):
     p.add_argument("--archetype", default="mixed",
                    choices=["canyon", "open-wall", "mixed"])
-    p.add_argument("--length", type=float, default=48.0,
+    p.add_argument("--length", type=float, default=SceneSpec.length,
                    help="drive length, m; also the walls' length, except for mixed, "
                         "whose fixed course ends at x = 38 m")
-    p.add_argument("--speed", type=float, default=6.0)
-    p.add_argument("--rate", type=float, default=10.0)
+    p.add_argument("--speed", type=float, default=TrajectorySpec.speed)
+    p.add_argument("--rate", type=float, default=TrajectorySpec.frame_rate)
 
 
 def _add_sensor(p):
-    p.add_argument("--rings", type=int, default=16)
-    p.add_argument("--vfov", type=float, default=30.0, help="total vertical FOV, degrees")
-    p.add_argument("--hres", type=float, default=1.0, help="horizontal resolution, degrees")
-    p.add_argument("--max-range", type=float, default=30.0)
-    p.add_argument("--range-noise", type=float, default=0.01)
+    p.add_argument("--rings", type=int, default=SensorModel.rings)
+    p.add_argument("--vfov", type=float, default=SensorModel.vertical_fov_deg,
+                   help="total vertical FOV, degrees")
+    p.add_argument("--hres", type=float, default=SensorModel.horizontal_resolution_deg,
+                   help="horizontal resolution, degrees")
+    p.add_argument("--max-range", type=float, default=SensorModel.max_range)
+    p.add_argument("--range-noise", type=float, default=SensorModel.range_noise_sigma)
 
 
 def _add_smvs(p):
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--n-regions", type=int, default=72)
-    p.add_argument("--d-th", type=int, default=8)
-    p.add_argument("--clone-sigma", type=float, default=0.01)
-    p.add_argument("--keep-ratio", type=float, default=0.9)
+    p.add_argument("--threads", type=int, default=SmvsConfig.threads)
+    p.add_argument("--n-regions", type=int, default=AzimuthBinning.n)
+    p.add_argument("--d-th", type=int, default=SmvsConfig.d_th)
+    p.add_argument("--clone-sigma", type=float, default=SmvsConfig.clone_sigma)
+    p.add_argument("--keep-ratio", type=float, default=SmvsConfig.keep_ratio)
 
 
 def _add_attack(p):
     p.add_argument("--attack", choices=sorted(ATTACK_FLAG_TO_MODEL), default="hfr-noise")
-    p.add_argument("--wall-dist", type=float, default=5.0)
-    p.add_argument("--layers", type=int, default=10)
-    p.add_argument("--noise-min", type=float, default=1.0)
-    p.add_argument("--noise-max", type=float, default=30.0)
-    p.add_argument("--window-deg", type=float, default=80.0, help="full window width")
+    p.add_argument("--wall-dist", type=float, default=AttackSpec.wall_distance)
+    p.add_argument("--layers", type=int, default=AttackSpec.layers)
+    p.add_argument("--noise-min", type=float, default=AttackSpec.noise_range[0])
+    p.add_argument("--noise-max", type=float, default=AttackSpec.noise_range[1])
+    p.add_argument("--window-deg", type=float, default=math.degrees(2 * AttackSpec.half_width),
+                   help="full window width")
     p.add_argument("--spoofer-x", type=float, default=None)
     p.add_argument("--spoofer-y", type=float, default=None)
     p.add_argument("--spoofer-range", type=float, default=18.0)
 
 
 def _add_placement(p):
-    p.add_argument("--top-m", type=int, default=10)
-    p.add_argument("--standoff", type=float, default=12.5)
+    p.add_argument("--top-m", type=int, default=_default(optimize_placement, "top_m"))
+    p.add_argument("--standoff", type=float, default=_default(optimize_placement, "standoff"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--est", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--no-align", action="store_true")
-    p.add_argument("--rpe-delta", type=int, default=1)
+    p.add_argument("--rpe-delta", type=int, default=_default(rpe, "delta"))
 
     p = sub.add_parser("report", help="SMVS bucket table from run records")
     _add_common(p)

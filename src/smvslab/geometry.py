@@ -151,7 +151,7 @@ class LazyCovarianceIndex(SpatialIndex):
 
     __slots__ = ("_k", "_epsilon", "_covs", "_known")
 
-    def __init__(self, cloud: PointCloud, k: int, epsilon: float = 1e-3):
+    def __init__(self, cloud: PointCloud, k: int, epsilon: float):
         _check_neighbor_count(cloud, k)
         super().__init__(cloud)
         self._k = k

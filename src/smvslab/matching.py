@@ -29,6 +29,11 @@ class MatcherConfig:
     max_damping_retries: int = 8
 
 
+# The one matcher setting: `gauss_newton_align` runs with it, and it is
+# `PipelineConfig.matcher`.
+MATCHER = MatcherConfig()
+
+
 @dataclass
 class LinearSystem:
     """One linearization: the global normal equations, and the fixed
@@ -174,7 +179,7 @@ def gauss_newton_align(source: PointCloud, index: SpatialIndex, init: PoseSE3) -
     until the step does not raise the fixed-correspondence cost
     (`matching_cost`).
     """
-    cfg = MatcherConfig()
+    cfg = MATCHER
     if len(index) == 0:
         raise ParameterError("target cloud is empty")
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .geometry import (
     voxel_dedup,
     voxel_downsample,
 )
-from .matching import MatcherConfig, gauss_newton_align
+from .matching import MATCHER, MatcherConfig, gauss_newton_align
 from .se3 import PoseSE3
 from .trajectory import Trajectory
 
@@ -30,7 +30,7 @@ class PipelineConfig:
     local_map_window: int = 20
     covariance_k: int = 20
     covariance_epsilon: float = 1e-3
-    matcher: MatcherConfig = field(default_factory=MatcherConfig)
+    matcher: MatcherConfig = MATCHER
 
 
 # The one set of GICP settings: both pipelines localize with it and SMVS

@@ -22,11 +22,14 @@ MAX_FRAMES = 1_000_000      # longest course, in frames, a trajectory may have
 
 @dataclass(frozen=True)
 class SensorModel:
-    rings: int = 32
+    """A spinning LiDAR; the defaults are the sensor the attacks are replayed
+    against, and the CLI's."""
+
+    rings: int = 16
     vertical_fov_deg: float = 30.0          # total span, symmetric about horizon
-    horizontal_resolution_deg: float = 0.4
-    max_range: float = 50.0
-    range_noise_sigma: float = 0.0
+    horizontal_resolution_deg: float = 1.0
+    max_range: float = 30.0
+    range_noise_sigma: float = 0.01
 
     def __post_init__(self):
         # Written so that NaN fails every check.
@@ -110,7 +113,7 @@ class SceneSpec:
     """
 
     archetype: str                          # canyon | open-wall | mixed
-    length: float = 100.0
+    length: float = 48.0
 
     def __post_init__(self):
         if not 0 < self.length < math.inf:
@@ -193,7 +196,7 @@ def mixed_course_scene() -> Scene:
 @dataclass(frozen=True)
 class TrajectorySpec:
     waypoints: tuple[tuple[float, float], ...]
-    speed: float = 5.0
+    speed: float = 6.0
     frame_rate: float = 10.0
 
     def __post_init__(self):

@@ -1,4 +1,5 @@
 import filecmp
+import inspect
 import math
 import os
 import subprocess
@@ -8,11 +9,14 @@ import pytest
 
 import smvslab
 from manifests import read_manifest
-from smvslab.cli import build_parser, dispatch
+from smvslab.attacks import AttackSpec
+from smvslab.cli import _attack_spec_from, _sensor_from, _smvs_cfg_from, build_parser, dispatch
 from smvslab.datasets import FrameDataset, load_dataset, save_dataset
 from smvslab.geometry import AzimuthBinning, PointCloud
+from smvslab.metrics import rpe
 from smvslab.placement import optimize_placement
-from smvslab.smvs import SmvsProfile, load_profile_csv
+from smvslab.simulate import SceneSpec, SensorModel, TrajectorySpec
+from smvslab.smvs import SmvsConfig, SmvsProfile, load_profile_csv
 from smvslab.trajectory import Trajectory
 
 FAST_SENSOR = [
@@ -53,6 +57,25 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_no_flags_build_the_library_defaults():
+    # Each default is the library's: the CLI with only --out builds exactly
+    # what the types and functions default to.
+    parser = build_parser()
+    course = TrajectorySpec(waypoints=((0.0, 0.0), (1.0, 0.0)))
+    for command in ("scene", "pipeline"):
+        args = parser.parse_args([command, "--out", "unused"])
+        assert _sensor_from(args) == SensorModel()
+        assert SceneSpec(args.archetype, args.length) == SceneSpec("mixed")
+        assert (args.speed, args.rate) == (course.speed, course.frame_rate)
+    assert _attack_spec_from(args, seed=0) == AttackSpec(seed=0)
+    assert _smvs_cfg_from(args, seed=0) == SmvsConfig()
+    placement = inspect.signature(optimize_placement).parameters
+    assert args.top_m == placement["top_m"].default
+    assert args.standoff == placement["standoff"].default
+    args = parser.parse_args(["eval", "--out", "unused", "--est", "e", "--ref", "r"])
+    assert args.rpe_delta == inspect.signature(rpe).parameters["delta"].default
 
 
 def test_domain_error_exits_1(tmp_path):

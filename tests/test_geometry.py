@@ -421,9 +421,9 @@ def test_lazy_covariances_equal_estimate_covariances():
     everything = np.arange(len(cloud))[::-1]
     assert np.array_equal(lazy.covariances_at(everything), eager[everything])
     with pytest.raises(ParameterError):
-        LazyCovarianceIndex(cloud, k=3)
+        LazyCovarianceIndex(cloud, k=3, epsilon=1e-3)
     with pytest.raises(ParameterError):
-        LazyCovarianceIndex(PointCloud(np.zeros((5, 3))), k=6)
+        LazyCovarianceIndex(PointCloud(np.zeros((5, 3))), k=6, epsilon=1e-3)
 
 
 def test_estimate_covariances_validation():

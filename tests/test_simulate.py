@@ -161,7 +161,9 @@ def test_raycast_ground_plane_geometry():
     # z_local = -1.5 exactly (noise off).
     scene = Scene((), ground=True)
     pose = PoseSE3.from_rpy(0, 0, 0, (3.0, -2.0, 1.5))
-    sensor = SensorModel(rings=8, vertical_fov_deg=60.0, horizontal_resolution_deg=10.0)
+    sensor = SensorModel(
+        rings=8, vertical_fov_deg=60.0, horizontal_resolution_deg=10.0, range_noise_sigma=0.0
+    )
     cloud = raycast_frame(scene, pose, sensor, seed=0)
     assert len(cloud) > 0
     assert np.allclose(cloud.points[:, 2], -1.5, atol=1e-9)
@@ -173,7 +175,7 @@ def test_raycast_wall_hit_distance():
     wall = Patch((10.0, -5.0, 0.0), (0.0, 10.0, 0.0), (0.0, 0.0, 5.0))
     scene = Scene((wall,), ground=False)
     pose = PoseSE3.from_rpy(0, 0, 0, (0.0, 0.0, 1.5))
-    sensor = SensorModel(rings=1, horizontal_resolution_deg=45.0)
+    sensor = SensorModel(rings=1, horizontal_resolution_deg=45.0, range_noise_sigma=0.0)
     cloud = raycast_frame(scene, pose, sensor, seed=0)
     forward = cloud.points[np.argmax(cloud.points[:, 0])]
     assert forward == pytest.approx([10.0, 0.0, 0.0], abs=1e-9)
@@ -184,7 +186,7 @@ def test_raycast_nearest_surface_wins():
     far = Patch((20.0, -5.0, 0.0), (0.0, 10.0, 0.0), (0.0, 0.0, 5.0))
     scene = Scene((near, far), ground=False)
     pose = PoseSE3.from_rpy(0, 0, 0, (0.0, 0.0, 1.5))
-    sensor = SensorModel(rings=1, horizontal_resolution_deg=45.0)
+    sensor = SensorModel(rings=1, horizontal_resolution_deg=45.0, range_noise_sigma=0.0)
     cloud = raycast_frame(scene, pose, sensor, seed=0)
     assert np.max(cloud.points[:, 0]) == pytest.approx(5.0)
 
