@@ -13,7 +13,6 @@ from .errors import ParameterError
 from .geometry import PointCloud
 from .se3 import PoseSE3
 from .simulate import SensorModel
-from .trajectory import Trajectory
 
 REMOVAL_NO_NOISE = "removal_no_noise"
 REMOVAL_NOISE = "removal_noise"
@@ -60,6 +59,8 @@ class AttackSpec:
             raise ParameterError("need at least 1 injectable layer")
         if not 0 <= self.noise_range[0] < self.noise_range[1] < math.inf:
             raise ParameterError("noise range must satisfy 0 <= r_min < r_max, both finite")
+        if not 0 < self.half_width <= math.pi:
+            raise ParameterError("half_width must be in (0, pi]")
 
 
 @dataclass(frozen=True)
@@ -176,22 +177,22 @@ def apply_attack(
 
 def attack_dataset(
     dataset: FrameDataset,
-    ground_truth: Trajectory,
     spoofer: SpooferState,
     spec: AttackSpec,
     sensor: SensorModel,
 ) -> FrameDataset:
-    """Apply the attack frame-by-frame, aiming at the true vehicle pose.
+    """Apply the attack frame-by-frame, aiming at the dataset's ground-truth
+    pose.
 
-    Frames for which the spoofer is out of range pass through untouched.
-    Per-frame noise streams are derived from (spec.seed, frame id), so the
-    result is deterministic.
+    Frames for which the spoofer is out of range pass through as the same
+    objects; every other frame is a new PointCloud. Per-frame noise streams
+    are derived from (spec.seed, frame id), so the result is deterministic.
     """
-    if len(dataset) != len(ground_truth):
-        raise ParameterError("dataset and ground-truth lengths differ")
+    if dataset.ground_truth is None:
+        raise ParameterError("attack needs the dataset's ground truth (groundtruth.txt)")
     frames = []
     for i, frame in enumerate(dataset.frames):
-        window = spoof_window(ground_truth.poses[i], spoofer, spec.half_width)
+        window = spoof_window(dataset.ground_truth.poses[i], spoofer, spec.half_width)
         if window is None:
             frames.append(frame)
             continue

@@ -10,7 +10,7 @@ import os
 import sys
 
 from . import __version__
-from .attacks import AttackSpec, SpooferState, attack_dataset, spoof_window
+from .attacks import AttackSpec, SpooferState, attack_dataset
 from .datasets import FrameDataset, load_dataset, save_dataset
 from .errors import ParameterError, SmvslabError
 from .geometry import AzimuthBinning, load_xyz, save_xyz
@@ -335,15 +335,13 @@ def _cmd_place(args, seed):
 
 def _cmd_attack(args, seed):
     ds = load_dataset(args.dataset)
-    if ds.ground_truth is None:
-        raise SmvslabError("attack needs groundtruth.txt in the dataset")
     if args.spoofer_x is None or args.spoofer_y is None:
         raise SmvslabError("attack needs --spoofer-x and --spoofer-y")
     spoofer = SpooferState(
         (args.spoofer_x, args.spoofer_y), max_range=args.spoofer_range
     )
     spec = _attack_spec_from(args, seed)
-    attacked = attack_dataset(ds, ds.ground_truth, spoofer, spec, _sensor_from(args))
+    attacked = attack_dataset(ds, spoofer, spec, _sensor_from(args))
     save_dataset(attacked, args.out)
 
 
@@ -407,7 +405,7 @@ def _cmd_pipeline(args, seed):
         (float(position[0]), float(position[1])), max_range=args.spoofer_range
     )
     spec = _attack_spec_from(args, seed)
-    attacked = attack_dataset(ds, gt, spoofer, spec, _sensor_from(args))
+    attacked = attack_dataset(ds, spoofer, spec, _sensor_from(args))
     save_dataset(attacked, os.path.join(out, "attacked_dataset"))
 
     est, statuses = _localize(attacked, args.pipeline, origin, prior)
@@ -422,12 +420,11 @@ def _cmd_pipeline(args, seed):
         "rpe_max_m": rel.max,
     })
 
-    attacked_ids = {
-        i for i, p in enumerate(gt.poses)
-        if spoof_window(p, spoofer, spec.half_width) is not None
-    }
+    # attack_dataset passes the frames out of the spoofer's range through as
+    # the same objects, so the replaced frames are the attacked segment.
     segment_smvs = max(
-        (e.smvs.value for e in profile.entries if e.frame_id in attacked_ids),
+        (e.smvs for e in profile.entries
+         if attacked.frames[e.frame_id] is not ds.frames[e.frame_id]),
         default=float("nan"),
     )
     row = (segment_smvs, spec.model, stats.rmse, stats.rot_rmse_deg)

@@ -19,6 +19,8 @@ class FrameDataset:
         timestamps = list(timestamps)
         if len(frames) != len(timestamps):
             raise ParameterError("frame / timestamp count mismatch")
+        if ground_truth is not None and len(ground_truth) != len(frames):
+            raise ParameterError(f"ground truth: {len(ground_truth)} poses for {len(frames)} frames")
         self.frames = frames
         self.timestamps = timestamps
         self.ground_truth = ground_truth

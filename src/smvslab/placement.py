@@ -34,9 +34,7 @@ class PlacementResult:
 
 def top_frames(profile: SmvsProfile, top_m: int):
     """Frames with the highest frame-wise SMVS; ties go to earlier frames."""
-    entries = sorted(
-        profile.entries, key=lambda e: (-e.smvs.value, e.frame_id)
-    )
+    entries = sorted(profile.entries, key=lambda e: (-e.smvs, e.frame_id))
     return entries[: min(top_m, len(entries))]
 
 
@@ -50,7 +48,7 @@ def critical_directions(profile: SmvsProfile, top_m: int) -> tuple[np.ndarray, n
         raise ParameterError("top_m must be >= 2")
     entries = top_frames(profile, top_m)
     origins = np.array([e.pose.translation[:2] for e in entries], dtype=np.float64)
-    world = [e.pose.yaw() + bin_center_angle(e.smvs.k_center, profile.binning) for e in entries]
+    world = [e.pose.yaw() + bin_center_angle(e.k_center, profile.binning) for e in entries]
     directions = np.array([(math.cos(w), math.sin(w)) for w in world])
     return origins, directions
 

@@ -49,16 +49,13 @@ class ImportanceCloud:
 
 
 @dataclass
-class FrameSmvs:
-    value: float
-    k_center: int
-
-
-@dataclass
 class SmvsFrameEntry:
+    """One frame's score: the fields of its `smvs_profile.csv` row."""
+
     frame_id: int
     timestamp: float
-    smvs: FrameSmvs
+    smvs: float
+    k_center: int                   # peak-score azimuth region
     pose: PoseSE3
     degenerate_spectrum: bool
 
@@ -73,12 +70,12 @@ class SmvsProfile:
         return len(self.entries)
 
     def values(self) -> np.ndarray:
-        return np.array([e.smvs.value for e in self.entries])
+        return np.array([e.smvs for e in self.entries])
 
     def save_csv(self, path):
         """One line per entry, with the region count and the degenerate flag."""
         rows = [
-            (e.frame_id, e.timestamp, e.smvs.value, e.smvs.k_center,
+            (e.frame_id, e.timestamp, e.smvs, e.k_center,
              *e.pose.translation.tolist(), *e.pose.quat.tolist(),
              self.binning.n, int(e.degenerate_spectrum))
             for e in self.entries
@@ -102,8 +99,8 @@ class SmvsConfig:
     def __post_init__(self):
         if self.threads < 1:
             raise ParameterError(f"threads={self.threads} must be >= 1")
-        if self.clone_sigma < 0:
-            raise ParameterError("noise sigma must be >= 0")
+        if not 0 <= self.clone_sigma < np.inf:
+            raise ParameterError("noise sigma must be finite and >= 0")
         if not (0 < self.keep_ratio <= 1):
             raise ParameterError("keep_ratio must be in (0, 1]")
         if self.d_th > self.binning.n // 2:
@@ -210,14 +207,15 @@ def pointwise_smvs(source: PointCloud, index: SpatialIndex) -> ImportanceCloud:
 
 
 def framewise_smvs(
-    imp: ImportanceCloud,
+    importance: np.ndarray,
     frame: PointCloud,
     binning: AzimuthBinning,
     d_th: int,
 ):
-    """Aggregate point importances into azimuth-region scores and the frame score.
+    """Aggregate the frame's point importances into azimuth-region scores and
+    the frame score.
 
-    Returns (FrameSmvs, the (binning.n,) region scores). Points on the z-axis
+    Returns (smvs, k_center, the (binning.n,) region scores). Points on the z-axis
     cannot be binned and are dropped; if none remain the frame is unanalyzable.
     """
     if d_th > binning.n // 2:
@@ -227,14 +225,14 @@ def framewise_smvs(
         raise AnalysisError("all points lie on the z-axis; no azimuths defined")
 
     scores = np.bincount(
-        bins[valid], weights=imp.importance[valid], minlength=binning.n
+        bins[valid], weights=importance[valid], minlength=binning.n
     ).astype(np.float64)
     k_center = int(np.argmax(scores))
     ks = np.arange(binning.n)
     delta = np.abs(ks - k_center)
     d = np.minimum(delta, binning.n - delta)
-    value = float(np.sum(scores * (d_th - d)))
-    return FrameSmvs(value=value, k_center=k_center), scores
+    smvs = float(np.sum(scores * (d_th - d)))
+    return smvs, k_center, scores
 
 
 def frame_seed(global_seed: int, frame_id: int) -> int:
@@ -257,7 +255,7 @@ def trajectory_smvs(
         raise ParameterError("dataset and trajectory lengths differ")
 
     def work(i):
-        """Frame i's SMVS and importances, or the AnalysisError that skips it."""
+        """Frame i's profile entry, or the AnalysisError that skips it."""
         source, target = perturbed_clones(
             dataset.frames[i], cfg.clone_sigma, cfg.keep_ratio, frame_seed(cfg.seed, i)
         )
@@ -268,9 +266,17 @@ def trajectory_smvs(
         target = LazyCovarianceIndex(target, k=k, epsilon=GICP.covariance_epsilon)
         try:
             imp = pointwise_smvs(source, target)
-            return framewise_smvs(imp, source, cfg.binning, cfg.d_th)[0], imp
+            smvs, k_center, _ = framewise_smvs(imp.importance, source, cfg.binning, cfg.d_th)
         except AnalysisError as exc:
             return exc
+        return SmvsFrameEntry(
+            frame_id=i,
+            timestamp=float(dataset.timestamps[i]),
+            smvs=smvs,
+            k_center=k_center,
+            pose=benign_trajectory.poses[i],
+            degenerate_spectrum=imp.degenerate_spectrum,
+        )
 
     if cfg.threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -278,22 +284,8 @@ def trajectory_smvs(
     else:
         results = [work(i) for i in range(len(dataset))]
 
-    entries = []
-    skipped = []
-    for i, res in enumerate(results):
-        if isinstance(res, AnalysisError):
-            skipped.append((i, str(res)))
-            continue
-        smvs, imp = res
-        entries.append(
-            SmvsFrameEntry(
-                frame_id=i,
-                timestamp=float(dataset.timestamps[i]),
-                smvs=smvs,
-                pose=benign_trajectory.poses[i],
-                degenerate_spectrum=imp.degenerate_spectrum,
-            )
-        )
+    entries = [r for r in results if isinstance(r, SmvsFrameEntry)]
+    skipped = [(i, str(r)) for i, r in enumerate(results) if isinstance(r, AnalysisError)]
     return SmvsProfile(entries=entries, skipped=skipped, binning=cfg.binning)
 
 
@@ -321,6 +313,7 @@ def load_profile_csv(path) -> SmvsProfile:
             raise ParameterError(f"{path}:{lineno}: k_center {k_center} outside [0, {n})")
         if degenerate not in (0, 1):
             raise ParameterError(f"{path}:{lineno}: degenerate {degenerate} is not 0 or 1")
-        smvs = FrameSmvs(value=value, k_center=k_center)
-        entries.append(SmvsFrameEntry(frame_id, timestamp, smvs, pose, bool(degenerate)))
+        entries.append(
+            SmvsFrameEntry(frame_id, timestamp, value, k_center, pose, bool(degenerate))
+        )
     return SmvsProfile(entries=entries, binning=binning)

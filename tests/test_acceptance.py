@@ -24,13 +24,7 @@ from smvslab.pipelines import GICP, build_prior_map, odometry_run, priormap_loca
 from smvslab.placement import choose_recommended, optimize_placement
 from smvslab.se3 import PoseSE3, left_update
 from smvslab.simulate import SceneSpec, SensorModel, TrajectorySpec, build_scene, generate_dataset
-from smvslab.smvs import (
-    ImportanceCloud,
-    SmvsConfig,
-    framewise_smvs,
-    pointwise_smvs,
-    trajectory_smvs,
-)
+from smvslab.smvs import SmvsConfig, framewise_smvs, pointwise_smvs, trajectory_smvs
 from smvslab.trajectory import Trajectory
 
 SENSOR = SensorModel(
@@ -88,7 +82,7 @@ def smvs_profile(course):
 
 def spoofer_toward_peak_region(entry, max_range=SPOOFER_RANGE):
     """Spoofer at a fixed standoff along the frame's peak-score direction."""
-    angle = entry.pose.yaw() + bin_center_angle(entry.smvs.k_center, AzimuthBinning())
+    angle = entry.pose.yaw() + bin_center_angle(entry.k_center, AzimuthBinning())
     p = entry.pose.translation
     return SpooferState(
         (p[0] + STANDOFF * math.cos(angle), p[1] + STANDOFF * math.sin(angle)),
@@ -99,7 +93,7 @@ def spoofer_toward_peak_region(entry, max_range=SPOOFER_RANGE):
 def attacked_ape_pair(course, gt_relative, prior_map, spoofer, seed):
     """APE RMSE of both pipelines on one attacked replay."""
     spec = AttackSpec(model="removal_noise", noise_range=ATTACK_NOISE_RANGE, seed=seed)
-    attacked = attack_dataset(course, course.ground_truth, spoofer, spec, SENSOR)
+    attacked = attack_dataset(course, spoofer, spec, SENSOR)
     odom_est, _ = odometry_run(attacked)
     odom = ape(odom_est, gt_relative).rmse
     pm_est, _ = priormap_localize(
@@ -114,7 +108,7 @@ def attacked_priormap_ape(course, prior_map, position, seed):
         (float(position[0]), float(position[1])), max_range=SPOOFER_RANGE
     )
     spec = AttackSpec(model="removal_noise", noise_range=ATTACK_NOISE_RANGE, seed=seed)
-    attacked = attack_dataset(course, course.ground_truth, spoofer, spec, SENSOR)
+    attacked = attack_dataset(course, spoofer, spec, SENSOR)
     est, _ = priormap_localize(attacked, prior_map, init=course.ground_truth.poses[0])
     return ape(est, course.ground_truth).rmse
 
@@ -279,25 +273,18 @@ def importance_at_bins(bin_scores, binning):
         ang = bin_center_angle(k, binning)
         pts.append((math.cos(ang), math.sin(ang), 0.0))
         vals.append(s)
-    imp = ImportanceCloud(
-        importance=np.asarray(vals, dtype=np.float64),
-        lambda_min_global=0.0,
-        x_min_global=np.zeros(6),
-        matched=np.ones(len(pts), dtype=bool),
-        degenerate_spectrum=False,
-    )
-    return imp, PointCloud(np.asarray(pts))
+    return np.asarray(vals, dtype=np.float64), PointCloud(np.asarray(pts))
 
 
 def test_criterion_3_framewise_closed_forms(capsys):
     binning = AzimuthBinning(72)
     s, s1, s2 = 0.37, 0.61, 0.23
     imp, cloud = importance_at_bins([(11, s)], binning)
-    single = framewise_smvs(imp, cloud, binning, d_th=8)[0].value
+    single = framewise_smvs(imp, cloud, binning, d_th=8)[0]
     imp, cloud = importance_at_bins([(20, s1), (21, s2)], binning)
-    adjacent = framewise_smvs(imp, cloud, binning, d_th=8)[0].value
+    adjacent = framewise_smvs(imp, cloud, binning, d_th=8)[0]
     imp, cloud = importance_at_bins([(k, s) for k in range(72)], binning)
-    uniform = framewise_smvs(imp, cloud, binning, d_th=8)[0].value
+    uniform = framewise_smvs(imp, cloud, binning, d_th=8)[0]
     err_single = abs(single - 8 * s)
     err_adjacent = abs(adjacent - (8 * s1 + 7 * s2))
     err_uniform = abs(uniform - (-720.0 * s))

@@ -23,13 +23,7 @@ from smvslab.simulate import SensorModel
 from smvslab.trajectory import Trajectory
 
 # The sensor the CLI builds from its default flags.
-SENSOR = SensorModel(
-    rings=16,
-    vertical_fov_deg=30.0,
-    horizontal_resolution_deg=1.0,
-    max_range=30.0,
-    range_noise_sigma=0.01,
-)
+SENSOR = SensorModel()
 
 
 def frame_rng(spec, frame_id=0):
@@ -106,8 +100,13 @@ def test_attack_spec_validation():
     {"noise_range": (1.0, math.nan)},
     {"noise_range": (1.0, math.inf)},
     {"noise_range": (-math.inf, 5.0)},
+    {"half_width": 0.0},
+    {"half_width": -1.0},
+    {"half_width": math.nan},
+    {"half_width": 4.0},
 ], ids=["nan-wall", "inf-wall", "negative-r-min", "nan-r-min", "nan-r-max",
-        "inf-r-max", "minus-inf-r-min"])
+        "inf-r-max", "minus-inf-r-min", "zero-half-width", "negative-half-width",
+        "nan-half-width", "half-width-beyond-pi"])
 def test_attack_spec_rejects_non_finite_or_negative_distances(kwargs):
     with pytest.raises(ParameterError):
         AttackSpec(**kwargs)
@@ -248,35 +247,36 @@ def make_dataset(num_frames=4):
     frames = [random_frame(10 + i) for i in range(num_frames)]
     ts = [0.1 * i for i in range(num_frames)]
     poses = [PoseSE3.from_rpy(0, 0, 0, (2.0 * i, 0.0, 1.5)) for i in range(num_frames)]
-    gt = Trajectory(ts, poses)
-    return FrameDataset(frames, ts, gt), gt
+    return FrameDataset(frames, ts, Trajectory(ts, poses))
 
 
 def test_attack_dataset_deterministic():
-    ds, gt = make_dataset()
+    ds = make_dataset()
     spoofer = SpooferState(position=(3.0, 4.0), max_range=50.0)
     spec = AttackSpec(model="removal_noise", seed=9)
-    a = attack_dataset(ds, gt, spoofer, spec, SENSOR)
-    b = attack_dataset(ds, gt, spoofer, spec, SENSOR)
+    a = attack_dataset(ds, spoofer, spec, SENSOR)
+    b = attack_dataset(ds, spoofer, spec, SENSOR)
     for fa, fb in zip(a.frames, b.frames):
         assert np.array_equal(fa.points, fb.points)
 
 
 def test_attack_dataset_out_of_range_frames_untouched():
-    ds, gt = make_dataset()
+    ds = make_dataset()
     # In range only near the start of the course.
     spoofer = SpooferState(position=(0.0, 3.0), max_range=3.5)
     spec = AttackSpec(model="removal_no_noise", seed=0)
-    out = attack_dataset(ds, gt, spoofer, spec, SENSOR)
+    out = attack_dataset(ds, spoofer, spec, SENSOR)
     assert np.array_equal(out.frames[-1].points, ds.frames[-1].points)
+    assert out.frames[-1] is ds.frames[-1]
+    assert out.frames[0] is not ds.frames[0]
     assert len(out.frames[0]) < len(ds.frames[0])
 
 
-def test_attack_dataset_length_mismatch():
-    ds, gt = make_dataset()
-    short = Trajectory(gt.timestamps[:2], gt.poses[:2])
-    with pytest.raises(ParameterError):
-        attack_dataset(ds, short, SpooferState((0.0, 0.0), max_range=18.0), AttackSpec(), SENSOR)
+def test_attack_dataset_needs_ground_truth():
+    ds = make_dataset()
+    blind = FrameDataset(ds.frames, ds.timestamps)
+    with pytest.raises(ParameterError, match="ground truth"):
+        attack_dataset(blind, SpooferState((0.0, 0.0), max_range=18.0), AttackSpec(), SENSOR)
 
 
 def test_apply_attack_dispatches_models():

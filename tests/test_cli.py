@@ -103,6 +103,23 @@ def test_smvs_bad_d_th_exits_1_before_any_frame(tmp_path, capsys, monkeypatch):
     assert "error: d_th=40 exceeds n/2=36" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_smvs_non_finite_clone_sigma_exits_1_before_any_frame(
+    tmp_path, capsys, monkeypatch, sigma
+):
+    scene_dir = tmp_path / "scene"
+    assert run(scene_args(scene_dir)) == 0
+
+    def analysed(*args, **kwargs):
+        raise AssertionError("a frame was analysed")
+
+    monkeypatch.setattr("smvslab.smvs.perturbed_clones", analysed)
+    code = run(["smvs", "--dataset", str(scene_dir), "--out", str(tmp_path / "smvs"),
+                "--clone-sigma", sigma])
+    assert code == 1
+    assert "error: noise sigma must be finite and >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["smvs", "pipeline"])
 @pytest.mark.parametrize("threads", [0, -2])
 def test_threads_below_one_exit_1_before_any_frame(
@@ -150,11 +167,13 @@ def test_pyproject_reads_the_package_version():
     (["scene", "--range-noise", "nan"], {}),
     (["scene", "--range-noise", "-1"], {}),
     (["attack", "--dataset", "attack", "--spoofer-x", "nan", "--spoofer-y", "0"], {}),
+    (["attack", "--dataset", "attack", "--window-deg", "0",
+      "--spoofer-x", "500", "--spoofer-y", "500"], {}),
 ], ids=["missing-dataset", "missing-trajectory", "missing-config", "bad-seed-env",
         "empty-init-trajectory", "one-frame-profile", "non-numeric-edges", "one-edge",
         "decreasing-edges", "nan-standoff", "inf-standoff", "nan-length", "nan-rate",
         "negative-length", "inf-speed", "nan-max-range", "nan-vfov", "nan-hres",
-        "nan-range-noise", "negative-range-noise", "nan-spoofer-x"])
+        "nan-range-noise", "negative-range-noise", "nan-spoofer-x", "window-deg-zero"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv, env):
     # A one-frame dataset (the frame doubles as the map), its copy with
     # ground truth, a trajectory file with no poses, a one-frame and a

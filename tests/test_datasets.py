@@ -65,6 +65,13 @@ def test_frame_timestamp_mismatch():
         FrameDataset([PointCloud([[0.0, 0.0, 0.0]])], [0.0, 1.0])
 
 
+def test_ground_truth_length_mismatch():
+    ds = sample_dataset()
+    short = Trajectory(ds.timestamps[:2], ds.ground_truth.poses[:2])
+    with pytest.raises(ParameterError, match="^ground truth: 2 poses for 3 frames$"):
+        FrameDataset(ds.frames, ds.timestamps, short)
+
+
 def test_manifest_roundtrip_sorted(tmp_path):
     path = tmp_path / "manifest.txt"
     write_manifest(path, {"zeta": 1, "alpha": "two", "mid": 3.5})

@@ -19,14 +19,15 @@ from smvslab.placement import (
     top_frames,
 )
 from smvslab.se3 import PoseSE3
-from smvslab.smvs import FrameSmvs, SmvsFrameEntry, SmvsProfile
+from smvslab.smvs import SmvsFrameEntry, SmvsProfile
 
 
 def make_entry(frame_id, value, k_center, position, yaw=0.0):
     return SmvsFrameEntry(
         frame_id=frame_id,
         timestamp=0.1 * frame_id,
-        smvs=FrameSmvs(value=value, k_center=k_center),
+        smvs=value,
+        k_center=k_center,
         pose=PoseSE3.from_rpy(0.0, 0.0, yaw, (position[0], position[1], 1.5)),
         degenerate_spectrum=False,
     )
@@ -118,7 +119,7 @@ def linear_profile(n=72):
 def test_top_frames_ordering_and_ties():
     profile = linear_profile()
     top = top_frames(profile, 3)
-    values = [e.smvs.value for e in top]
+    values = [e.smvs for e in top]
     assert values == sorted(values, reverse=True)
     tied = SmvsProfile(
         entries=[make_entry(i, 1.0, 0, (i, 0.0)) for i in range(4)]

@@ -19,7 +19,6 @@ from smvslab.geometry import (
 )
 from smvslab.pipelines import GICP
 from smvslab.smvs import (
-    ImportanceCloud,
     SmvsConfig,
     _local_directions,
     frame_seed,
@@ -76,6 +75,9 @@ def test_clones_sigma_zero_subsets_original():
 def test_clone_params_validation():
     with pytest.raises(ParameterError):
         SmvsConfig(clone_sigma=-0.1)
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="noise sigma must be finite"):
+            SmvsConfig(clone_sigma=sigma)
     with pytest.raises(ParameterError):
         SmvsConfig(keep_ratio=0.0)
     with pytest.raises(ParameterError):
@@ -255,49 +257,41 @@ def importance_at_bins(bin_scores, binning):
         ang = bin_center_angle(k, binning)
         pts.append((math.cos(ang), math.sin(ang), 0.0))
         vals.append(s)
-    cloud = PointCloud(np.asarray(pts))
-    imp = ImportanceCloud(
-        importance=np.asarray(vals, dtype=np.float64),
-        lambda_min_global=0.0,
-        x_min_global=np.zeros(6),
-        matched=np.ones(len(pts), dtype=bool),
-        degenerate_spectrum=False,
-    )
-    return imp, cloud
+    return np.asarray(vals, dtype=np.float64), PointCloud(np.asarray(pts))
 
 
 def test_framewise_single_bin_closed_form():
     binning = AzimuthBinning(72)
     s = 0.37
     imp, cloud = importance_at_bins([(11, s)], binning)
-    smvs, hist = framewise_smvs(imp, cloud, binning, d_th=8)
-    assert smvs.k_center == 11
-    assert abs(smvs.value - 8 * s) < 1e-12
+    smvs, k_center, _ = framewise_smvs(imp, cloud, binning, d_th=8)
+    assert k_center == 11
+    assert abs(smvs - 8 * s) < 1e-12
 
 
 def test_framewise_adjacent_bins_closed_form():
     binning = AzimuthBinning(72)
     s1, s2 = 0.6, 0.25
     imp, cloud = importance_at_bins([(20, s1), (21, s2)], binning)
-    smvs, _ = framewise_smvs(imp, cloud, binning, d_th=8)
-    assert smvs.k_center == 20
-    assert abs(smvs.value - (8 * s1 + 7 * s2)) < 1e-12
+    smvs, k_center, _ = framewise_smvs(imp, cloud, binning, d_th=8)
+    assert k_center == 20
+    assert abs(smvs - (8 * s1 + 7 * s2)) < 1e-12
 
 
 def test_framewise_uniform_closed_form():
     binning = AzimuthBinning(72)
     s = 0.5
     imp, cloud = importance_at_bins([(k, s) for k in range(72)], binning)
-    smvs, _ = framewise_smvs(imp, cloud, binning, d_th=8)
-    assert smvs.k_center == 0  # ties resolve to the smallest region id
-    assert abs(smvs.value - (-720.0 * s)) < 1e-12
+    smvs, k_center, _ = framewise_smvs(imp, cloud, binning, d_th=8)
+    assert k_center == 0  # ties resolve to the smallest region id
+    assert abs(smvs - (-720.0 * s)) < 1e-12
 
 
 def test_framewise_score_mass_conserved():
     source, target = prepared_clones(9)
     imp = pointwise_smvs(source, SpatialIndex(target))
     binning = AzimuthBinning(72)
-    _, scores = framewise_smvs(imp, source, binning, d_th=8)
+    _, _, scores = framewise_smvs(imp.importance, source, binning, d_th=8)
     from smvslab.geometry import azimuth_bins
 
     _, valid = azimuth_bins(source.points, binning)
@@ -307,7 +301,7 @@ def test_framewise_score_mass_conserved():
 def test_framewise_rotation_by_whole_bins_shifts_center():
     binning = AzimuthBinning(72)
     imp, cloud = importance_at_bins([(10, 0.5), (11, 0.2)], binning)
-    smvs, _ = framewise_smvs(imp, cloud, binning, d_th=8)
+    smvs, k_center, _ = framewise_smvs(imp, cloud, binning, d_th=8)
     shift = 5
     rotated = PointCloud(
         cloud.points
@@ -319,9 +313,9 @@ def test_framewise_rotation_by_whole_bins_shifts_center():
             ]
         )
     )
-    smvs_r, _ = framewise_smvs(imp, rotated, binning, d_th=8)
-    assert smvs_r.k_center == (smvs.k_center + shift) % 72
-    assert smvs_r.value == pytest.approx(smvs.value)
+    smvs_r, k_center_r, _ = framewise_smvs(imp, rotated, binning, d_th=8)
+    assert k_center_r == (k_center + shift) % 72
+    assert smvs_r == pytest.approx(smvs)
 
 
 def test_framewise_d_th_validation():
@@ -332,16 +326,9 @@ def test_framewise_d_th_validation():
 
 
 def test_framewise_all_z_axis_raises():
-    imp = ImportanceCloud(
-        importance=np.ones(2),
-        lambda_min_global=0.0,
-        x_min_global=np.zeros(6),
-        matched=np.ones(2, dtype=bool),
-        degenerate_spectrum=False,
-    )
     cloud = PointCloud([[0.0, 0.0, 1.0], [0.0, 0.0, -2.0]])
     with pytest.raises(AnalysisError):
-        framewise_smvs(imp, cloud, AzimuthBinning(72), d_th=8)
+        framewise_smvs(np.ones(2), cloud, AzimuthBinning(72), d_th=8)
 
 
 # ---------------------------------------------------------------- trajectory
@@ -419,8 +406,8 @@ def test_profile_csv_roundtrip(tmp_path):
     assert back.binning == AzimuthBinning(36)
     for a, b in zip(profile.entries, back.entries):
         assert a.frame_id == b.frame_id
-        assert a.smvs.value == b.smvs.value
-        assert a.smvs.k_center == b.smvs.k_center
+        assert a.smvs == b.smvs
+        assert a.k_center == b.k_center
         assert a.degenerate_spectrum == b.degenerate_spectrum
         assert np.allclose(a.pose.translation, b.pose.translation)
         assert np.allclose(a.pose.quat, b.pose.quat)

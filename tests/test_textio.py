@@ -14,7 +14,7 @@ from smvslab.cli import dispatch
 from smvslab.errors import ParameterError
 from smvslab.geometry import AzimuthBinning, PointCloud, load_xyz, save_xyz
 from smvslab.se3 import PoseSE3
-from smvslab.smvs import FrameSmvs, SmvsFrameEntry, SmvsProfile, load_profile_csv
+from smvslab.smvs import SmvsFrameEntry, SmvsProfile, load_profile_csv
 from smvslab.textio import read_array, read_table, to_array, write_array
 from smvslab.trajectory import Trajectory
 
@@ -191,7 +191,8 @@ def profiles(draw):
         SmvsFrameEntry(
             frame_id=draw(st.integers(0, 10**6)),
             timestamp=draw(FINITE),
-            smvs=FrameSmvs(value=draw(FINITE), k_center=draw(st.integers(0, binning.n - 1))),
+            smvs=draw(FINITE),
+            k_center=draw(st.integers(0, binning.n - 1)),
             pose=draw(poses()),
             degenerate_spectrum=draw(st.booleans()),
         )
@@ -211,10 +212,10 @@ def test_profile_roundtrip(profile):
         assert back.binning == profile.binning
     assert len(back) == len(profile)
     for a, b in zip(back.entries, profile.entries):
-        assert (a.frame_id, a.smvs.k_center, a.degenerate_spectrum) == (
-            b.frame_id, b.smvs.k_center, b.degenerate_spectrum
+        assert (a.frame_id, a.k_center, a.degenerate_spectrum) == (
+            b.frame_id, b.k_center, b.degenerate_spectrum
         )
-        assert bits([a.timestamp, a.smvs.value]) == bits([b.timestamp, b.smvs.value])
+        assert bits([a.timestamp, a.smvs]) == bits([b.timestamp, b.smvs])
         assert bits(a.pose.translation) == bits(b.pose.translation)
         assert np.abs(a.pose.quat - b.pose.quat).max() <= 1e-15
 
