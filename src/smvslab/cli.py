@@ -212,12 +212,16 @@ def _smvs_cfg_from(args, seed) -> SmvsConfig:
 
 
 def _attack_spec_from(args, seed) -> AttackSpec:
+    half_width = math.radians(args.window_deg / 2.0)
+    # AttackSpec's own check, worded in the flag's degrees.
+    if not 0 < half_width <= math.pi:
+        raise ParameterError(f"--window-deg must be in (0, 360], got {args.window_deg!r}")
     return AttackSpec(
         model=ATTACK_FLAG_TO_MODEL[args.attack],
         wall_distance=args.wall_dist,
         layers=args.layers,
         noise_range=(args.noise_min, args.noise_max),
-        half_width=math.radians(args.window_deg / 2.0),
+        half_width=half_width,
         seed=seed,
     )
 

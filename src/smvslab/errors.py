@@ -9,10 +9,6 @@ class ParameterError(SmvslabError, ValueError):
     """A precondition on user-supplied parameters was violated."""
 
 
-class UndefinedAzimuthError(ParameterError):
-    """A point on the z-axis has no horizontal azimuth."""
-
-
 class QueryError(SmvslabError):
     """A spatial query was issued against an unusable index."""
 

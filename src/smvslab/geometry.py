@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ParameterError, QueryError, UndefinedAzimuthError
+from .errors import ParameterError, QueryError
 from .textio import read_array, write_array
 
 TWO_PI = 2.0 * math.pi
@@ -323,24 +323,11 @@ def estimate_covariances(cloud: PointCloud, k: int, epsilon: float = 1e-3) -> Po
     return cloud.with_covariances(_covariances(SpatialIndex(cloud), slice(None), k, epsilon))
 
 
-def azimuth(p) -> float:
-    """Horizontal angle atan2(y, x) in (-pi, pi]; undefined on the z-axis."""
-    x, y = float(p[0]), float(p[1])
-    if x == 0.0 and y == 0.0:
-        raise UndefinedAzimuthError("point lies on the z-axis")
-    return math.atan2(y, x)
-
-
-def azimuth_bin(p, binning: AzimuthBinning) -> int:
-    """Region index k = floor((theta + pi) / bin_width) mod n."""
-    theta = azimuth(p)
-    return int(math.floor((theta + math.pi) / binning.bin_width)) % binning.n
-
-
 def azimuth_bins(points, binning: AzimuthBinning):
-    """Vectorized azimuth_bin; returns (bins, valid mask).
+    """Region index k = floor((theta + pi) / bin_width) mod n of each point,
+    theta = atan2(y, x); returns (bins, valid mask).
 
-    z-axis points get bin -1 and valid=False instead of raising.
+    z-axis points have no azimuth: they get bin -1 and valid=False.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     valid = (pts[:, 0] != 0.0) | (pts[:, 1] != 0.0)

@@ -20,18 +20,15 @@ from .geometry import PointCloud, SpatialIndex, _cross
 from .se3 import PoseSE3, left_update
 
 
-@dataclass(frozen=True)
 class MatcherConfig:
-    max_corr_dist: float = 2.0
-    max_iterations: int = 30
-    convergence_tol: float = 1e-6
-    min_eigenvalue: float = 1e-6    # damping kicks in below this
-    max_damping_retries: int = 8
+    """The matcher's fixed settings, read as class attributes."""
 
-
-# The one matcher setting: `gauss_newton_align` runs with it, and it is
-# `PipelineConfig.matcher`.
-MATCHER = MatcherConfig()
+    __slots__ = ()
+    max_corr_dist = 2.0
+    max_iterations = 30
+    convergence_tol = 1e-6
+    min_eigenvalue = 1e-6           # damping kicks in below this
+    max_damping_retries = 8
 
 
 @dataclass
@@ -179,7 +176,6 @@ def gauss_newton_align(source: PointCloud, index: SpatialIndex, init: PoseSE3) -
     until the step does not raise the fixed-correspondence cost
     (`matching_cost`).
     """
-    cfg = MATCHER
     if len(index) == 0:
         raise ParameterError("target cloud is empty")
 
@@ -188,16 +184,16 @@ def gauss_newton_align(source: PointCloud, index: SpatialIndex, init: PoseSE3) -
     converged = False
     iterations = 0
 
-    for iterations in range(1, cfg.max_iterations + 1):
-        system = linearize(source, index, pose, cfg.max_corr_dist)
+    for iterations in range(1, MatcherConfig.max_iterations + 1):
+        system = linearize(source, index, pose, MatcherConfig.max_corr_dist)
         cost = system.cost
         eigvals = np.linalg.eigvalsh(system.h_global)
         lam = 0.0
-        if eigvals[0] < cfg.min_eigenvalue:
-            lam = cfg.min_eigenvalue - eigvals[0]
+        if eigvals[0] < MatcherConfig.min_eigenvalue:
+            lam = MatcherConfig.min_eigenvalue - eigvals[0]
 
         step = None
-        for _ in range(cfg.max_damping_retries + 1):
+        for _ in range(MatcherConfig.max_damping_retries + 1):
             h = system.h_global + lam * np.eye(6)
             try:
                 delta = -np.linalg.solve(h, system.b_global)
@@ -212,13 +208,13 @@ def gauss_newton_align(source: PointCloud, index: SpatialIndex, init: PoseSE3) -
             if candidate_cost <= cost + 1e-12 * max(1.0, cost):
                 step = (candidate, delta)
                 break
-            lam = max(lam * 10.0, cfg.min_eigenvalue)
+            lam = max(lam * 10.0, MatcherConfig.min_eigenvalue)
         if step is None:
             # No damping level improved the fixed-correspondence cost;
             # keep the current pose and stop.
             break
         pose, delta = step
-        if np.linalg.norm(delta) < cfg.convergence_tol:
+        if np.linalg.norm(delta) < MatcherConfig.convergence_tol:
             converged = True
             break
 

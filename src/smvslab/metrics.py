@@ -31,14 +31,14 @@ class RpeStats:
     count: int
 
 
-def _associate(est: Trajectory, ref: Trajectory, tol: float = 1e-6):
-    """Match poses by timestamp within tol, truncated to the shorter run."""
+def _associate(est: Trajectory, ref: Trajectory):
+    """Match poses by timestamp within 1e-6 s, truncated to the shorter run."""
     pairs = []
     j = 0
     for i, t in enumerate(est.timestamps):
-        while j < len(ref) and ref.timestamps[j] < t - tol:
+        while j < len(ref) and ref.timestamps[j] < t - 1e-6:
             j += 1
-        if j < len(ref) and abs(ref.timestamps[j] - t) <= tol:
+        if j < len(ref) and abs(ref.timestamps[j] - t) <= 1e-6:
             pairs.append((i, j))
     return pairs
 
@@ -147,9 +147,8 @@ class BucketTable:
 
     def save_csv(self, path):
         models = sorted({m for _, m in self.cells})
-        header = "bucket," + ",".join(
-            f"{m}_mean_m,{m}_std_m,{m}_mean_deg,{m}_std_deg,{m}_count" for m in models
-        )
+        columns = [f"{m}_mean_m,{m}_std_m,{m}_mean_deg,{m}_std_deg,{m}_count" for m in models]
+        header = ",".join(["bucket", *columns])
         rows = []
         for b in range(self.num_buckets):
             row = [self.bucket_label(b)]

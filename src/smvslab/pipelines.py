@@ -18,19 +18,21 @@ from .geometry import (
     voxel_dedup,
     voxel_downsample,
 )
-from .matching import MATCHER, MatcherConfig, gauss_newton_align
+from .matching import MatcherConfig, gauss_newton_align
 from .se3 import PoseSE3
 from .trajectory import Trajectory
 
 
-@dataclass(frozen=True)
 class PipelineConfig:
-    frame_voxel: float = 0.5
-    map_voxel: float = 0.5
-    local_map_window: int = 20
-    covariance_k: int = 20
-    covariance_epsilon: float = 1e-3
-    matcher: MatcherConfig = MATCHER
+    """The pipelines' fixed settings, read as class attributes."""
+
+    __slots__ = ()
+    frame_voxel = 0.5
+    map_voxel = 0.5
+    local_map_window = 20
+    covariance_k = 20
+    covariance_epsilon = 1e-3
+    matcher = MatcherConfig
 
 
 # The one set of GICP settings: both pipelines localize with it and SMVS
@@ -43,7 +45,7 @@ class FrameStatus:
     frame_id: int
     converged: bool
     iterations: int
-    error: str | None = None
+    error: str | None
 
 
 @functools.lru_cache(maxsize=128)

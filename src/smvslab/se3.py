@@ -49,12 +49,6 @@ class PoseSE3:
     def rotation_matrix(self) -> np.ndarray:
         return Rotation.from_quat(self.quat).as_matrix()
 
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation_matrix()
-        m[:3, 3] = self.translation
-        return m
-
     def apply(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
         return pts @ self.rotation_matrix().T + self.translation

@@ -130,48 +130,37 @@ def _wall_y_span(y0, y1, x, height) -> Patch:
     return Patch((x, y0, 0.0), (0.0, y1 - y0, 0.0), (0.0, 0.0, height))
 
 
-def canyon_patches(length, width, height, x0=0.0) -> list[Patch]:
-    half = width / 2.0
+def canyon_patches(length, x0=0.0) -> list[Patch]:
+    half = WIDTH / 2.0
     return [
-        _wall_x_span(x0, x0 + length, -half, height),
-        _wall_x_span(x0, x0 + length, half, height),
+        _wall_x_span(x0, x0 + length, -half, WALL_HEIGHT),
+        _wall_x_span(x0, x0 + length, half, WALL_HEIGHT),
     ]
 
 
-def staggered_stub_patches(positions, width, height, depth=1.5) -> list[Patch]:
-    """Inward stubs at explicit (x, side) positions, side +1 for the left
-    wall and -1 for the right. Aperiodic placement keeps the corridor from
-    aliasing onto itself under a one-period registration error."""
-    half = width / 2.0
-    patches = []
-    for x, side in positions:
-        if side > 0:
-            patches.append(_wall_y_span(half - depth, half, float(x), height))
-        else:
-            patches.append(_wall_y_span(-half, -half + depth, float(x), height))
-    return patches
-
-
-def open_corner_patches(x0, x1, y, height, return_depth=8.0) -> list[Patch]:
+def open_corner_patches(x0, x1, y, return_depth=8.0) -> list[Patch]:
     """A dominant wall with a perpendicular return: one azimuth cluster
     that still constrains both ground-plane translations."""
     return [
-        _wall_x_span(x0, x1, y, height),
-        _wall_y_span(y, y + return_depth, x1, height),
+        _wall_x_span(x0, x1, y, WALL_HEIGHT),
+        _wall_y_span(y, y + return_depth, x1, WALL_HEIGHT),
     ]
 
 
 def build_scene(spec: SceneSpec) -> Scene:
     """Deterministic scene construction from an archetype, over ground."""
     if spec.archetype == "canyon":
-        return Scene(tuple(canyon_patches(spec.length, WIDTH, WALL_HEIGHT)))
+        return Scene(tuple(canyon_patches(spec.length)))
     if spec.archetype == "open-wall":
-        return Scene(tuple(open_corner_patches(0.0, spec.length, -WIDTH, WALL_HEIGHT)))
+        return Scene(tuple(open_corner_patches(0.0, spec.length, -WIDTH)))
     if spec.archetype == "mixed":
         return mixed_course_scene()
     raise ParameterError(f"unknown archetype {spec.archetype!r}")
 
 
+# Inward stubs of the mixed course at (x, side), side +1 for the left wall
+# and -1 for the right. Aperiodic placement keeps the corridor from
+# aliasing onto itself under a one-period registration error.
 MIXED_STUB_POSITIONS = (
     (-6, 1), (-3, -1), (2, 1), (7, -1), (11, 1), (16, -1), (18, 1), (23, -1),
 )
@@ -186,10 +175,14 @@ def mixed_course_scene() -> Scene:
     x in [30, 38], y = -10. Scan matching is well-constrained inside the
     canyon and hangs on the single cluster in the open segment.
     """
-    patches = []
-    patches += canyon_patches(34.0, WIDTH, WALL_HEIGHT, x0=-10.0)
-    patches += staggered_stub_patches(MIXED_STUB_POSITIONS, WIDTH, WALL_HEIGHT, depth=1.5)
-    patches += open_corner_patches(30.0, 38.0, -10.0, WALL_HEIGHT, return_depth=6.0)
+    half, depth = WIDTH / 2.0, 1.5
+    patches = canyon_patches(34.0, x0=-10.0)
+    for x, side in MIXED_STUB_POSITIONS:
+        if side > 0:
+            patches.append(_wall_y_span(half - depth, half, float(x), WALL_HEIGHT))
+        else:
+            patches.append(_wall_y_span(-half, -half + depth, float(x), WALL_HEIGHT))
+    patches += open_corner_patches(30.0, 38.0, -10.0, return_depth=6.0)
     return Scene(tuple(patches))
 
 
@@ -226,6 +219,10 @@ def _polyline_poses(spec: TrajectorySpec) -> list[PoseSE3]:
             f"course of {total!r} m at {step!r} m per frame exceeds {MAX_FRAMES} frames"
         )
     count = int(round(frames))
+    if count == 0:
+        raise ParameterError(
+            f"course of {total!r} m at {step!r} m per frame gives no frame"
+        )
     poses = []
     for i in range(count):
         s = i * step
@@ -244,7 +241,7 @@ def raycast_frame(
     scene: Scene,
     pose: PoseSE3,
     sensor: SensorModel,
-    seed: int | np.random.SeedSequence = 0,
+    seed: int | np.random.SeedSequence,
 ) -> PointCloud:
     """One sensor sweep: nearest patch hit per ray, Gaussian range noise.
     The ground plane goes first, so a patch skips the rays whose ground hit
@@ -284,7 +281,7 @@ def generate_dataset(
     scene: Scene,
     traj: TrajectorySpec,
     sensor: SensorModel,
-    seed: int = 0,
+    seed: int,
 ) -> FrameDataset:
     """Raycast every pose along the path; ground truth attached."""
     poses = _polyline_poses(traj)

@@ -160,6 +160,7 @@ def test_pyproject_reads_the_package_version():
     (["scene", "--length", "nan"], {}),
     (["scene", "--rate", "nan"], {}),
     (["scene", "--length", "-5"], {}),
+    (["scene", "--length", "0.2"], {}),
     (["scene", "--speed", "inf"], {}),
     (["scene", "--max-range", "nan"], {}),
     (["scene", "--vfov", "nan"], {}),
@@ -172,8 +173,9 @@ def test_pyproject_reads_the_package_version():
 ], ids=["missing-dataset", "missing-trajectory", "missing-config", "bad-seed-env",
         "empty-init-trajectory", "one-frame-profile", "non-numeric-edges", "one-edge",
         "decreasing-edges", "nan-standoff", "inf-standoff", "nan-length", "nan-rate",
-        "negative-length", "inf-speed", "nan-max-range", "nan-vfov", "nan-hres",
-        "nan-range-noise", "negative-range-noise", "nan-spoofer-x", "window-deg-zero"])
+        "negative-length", "no-frame-length", "inf-speed", "nan-max-range", "nan-vfov",
+        "nan-hres", "nan-range-noise", "negative-range-noise", "nan-spoofer-x",
+        "window-deg-zero"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv, env):
     # A one-frame dataset (the frame doubles as the map), its copy with
     # ground truth, a trajectory file with no poses, a one-frame and a
@@ -203,6 +205,8 @@ def test_bad_input_exits_1_without_traceback(tmp_path, argv, env):
     assert proc.returncode == 1
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+    if "--window-deg" in argv:
+        assert "--window-deg" in proc.stderr
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -360,6 +364,17 @@ def test_report_command(tmp_path):
     assert run(["report", "--runs", str(runs), "--out", str(out)]) == 0
     table = (out / "bucket_table.csv").read_text().strip().splitlines()
     assert len(table) == 5
+
+
+def test_report_on_runs_file_without_rows(tmp_path):
+    # No model, so one field per line, the header included.
+    runs = tmp_path / "runs.csv"
+    runs.write_text("smvs,model,ape_m,ape_deg\n")
+    out = tmp_path / "report"
+    assert run(["report", "--runs", str(runs), "--out", str(out)]) == 0
+    table = (out / "bucket_table.csv").read_text().splitlines()
+    assert table[0] == "bucket"
+    assert all("," not in line for line in table)
 
 
 def test_report_rejects_malformed_rows(tmp_path, capsys):

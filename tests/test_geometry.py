@@ -7,16 +7,15 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
+from azimuth_oracle import azimuth_bin
 from eigen_oracle import smallest_eigenvectors_stacked
 from smvslab import geometry, smvs
-from smvslab.errors import ParameterError, QueryError, UndefinedAzimuthError
+from smvslab.errors import ParameterError, QueryError
 from smvslab.geometry import (
     AzimuthBinning,
     LazyCovarianceIndex,
     PointCloud,
     SpatialIndex,
-    azimuth,
-    azimuth_bin,
     azimuth_bins,
     bin_center_angle,
     estimate_covariances,
@@ -435,24 +434,32 @@ def test_estimate_covariances_validation():
 
 
 def test_azimuth_matches_atan2():
-    rng = np.random.default_rng(7)
-    for p in rng.normal(size=(50, 3)):
-        assert azimuth(p) == pytest.approx(math.atan2(p[1], p[0]))
+    # Each point's region spans its atan2 angle.
+    binning = AzimuthBinning(72)
+    pts = np.random.default_rng(7).normal(size=(50, 3))
+    bins, valid = azimuth_bins(pts, binning)
+    assert valid.all()
+    for p, k in zip(pts, bins):
+        offset = math.atan2(p[1], p[0]) - bin_center_angle(k, binning)
+        assert abs(offset) <= binning.bin_width / 2.0 + 1e-12
 
 
 def test_azimuth_undefined_on_z_axis():
-    with pytest.raises(UndefinedAzimuthError):
-        azimuth((0.0, 0.0, 1.0))
+    pts = [(0.0, 0.0, 1.0), (-0.0, 0.0, -2.0), (1.0, 0.0, 0.0)]
+    bins, valid = azimuth_bins(pts, AzimuthBinning(72))
+    assert valid.tolist() == [False, False, True]
+    assert bins.tolist()[:2] == [-1, -1]
 
 
 def test_azimuth_bin_formula():
     binning = AzimuthBinning(72)
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(200, 3))
-    for p in pts:
+    bins, _ = azimuth_bins(pts, binning)
+    for p, k in zip(pts, bins):
         theta = math.atan2(p[1], p[0])
         expected = int(math.floor((theta + math.pi) / binning.bin_width)) % 72
-        assert azimuth_bin(p, binning) == expected
+        assert k == expected
 
 
 def test_azimuth_bins_vectorized_matches_scalar():
@@ -469,10 +476,9 @@ def test_azimuth_bins_vectorized_matches_scalar():
 
 def test_bin_center_angle_roundtrip():
     binning = AzimuthBinning(72)
-    for k in range(72):
-        ang = bin_center_angle(k, binning)
-        p = (math.cos(ang), math.sin(ang), 0.0)
-        assert azimuth_bin(p, binning) == k
+    angles = [bin_center_angle(k, binning) for k in range(72)]
+    bins, _ = azimuth_bins([(math.cos(a), math.sin(a), 0.0) for a in angles], binning)
+    assert bins.tolist() == list(range(72))
 
 
 def test_xyz_roundtrip(tmp_path):

@@ -5,6 +5,7 @@ from smvslab.datasets import FrameDataset
 from smvslab.errors import ParameterError
 from smvslab.geometry import PointCloud
 from smvslab.metrics import ape
+from smvslab.matching import MatcherConfig
 from smvslab.pipelines import (
     PipelineConfig,
     build_prior_map,
@@ -120,6 +121,15 @@ def test_pipeline_config_defaults():
     assert cfg.local_map_window == 20
     assert cfg.frame_voxel == 0.5
     assert cfg.covariance_k == 20
+    # The settings are fixed: neither config takes a value.
+    with pytest.raises(TypeError):
+        PipelineConfig(frame_voxel=1.0)
+    with pytest.raises(TypeError):
+        MatcherConfig(max_iterations=5)
+    # Every setting the benchmark reads keeps its value.
+    assert cfg.map_voxel == 0.5
+    assert cfg.covariance_epsilon == 1e-3
+    assert cfg.matcher.max_corr_dist == 2.0
 
 
 def test_cached_preparation_matches_fresh(short_course):

@@ -148,8 +148,8 @@ def test_archetype_scenes_build():
 
 
 def test_scene_helpers_patch_counts():
-    assert len(canyon_patches(50, 12, 5)) == 2
-    assert len(open_corner_patches(0, 20, -10, 5)) == 2
+    assert len(canyon_patches(50)) == 2
+    assert len(open_corner_patches(0, 20, -10)) == 2
     assert mixed_course_scene().ground
 
 
