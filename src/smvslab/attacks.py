@@ -48,6 +48,7 @@ class AttackSpec:
     layers: int = 10
     noise_range: tuple[float, float] = (1.0, 30.0)
     half_width: float = DEFAULT_HALF_WIDTH
+    spoofer_range: float = 18.0         # meters, planar, from the spoofer
     seed: int = 0
 
     def __post_init__(self):
@@ -61,30 +62,21 @@ class AttackSpec:
             raise ParameterError("noise range must satisfy 0 <= r_min < r_max, both finite")
         if not 0 < self.half_width <= math.pi:
             raise ParameterError("half_width must be in (0, pi]")
-
-
-@dataclass(frozen=True)
-class SpooferState:
-    position: tuple[float, float]       # world ground plane, meters
-    max_range: float
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, self.position)):
-            raise ParameterError(f"spoofer position {self.position} must be finite")
-        if not self.max_range > 0:
-            raise ParameterError("max effective range must be > 0")
+        if not self.spoofer_range > 0:
+            raise ParameterError("spoofer range must be > 0")
 
 
 def spoof_window(
-    victim_pose: PoseSE3, spoofer: SpooferState, half_width: float
+    victim_pose: PoseSE3, position: tuple[float, float], spec: AttackSpec
 ) -> AzimuthWindow | None:
-    """Window seen by the victim sensor, or None when out of range."""
-    world = np.array([spoofer.position[0], spoofer.position[1], SPOOFER_HEIGHT])
+    """Window seen by the victim sensor from a spoofer at the world ground
+    position `position`, or None when the spoofer is out of range."""
+    world = np.array([position[0], position[1], SPOOFER_HEIGHT])
     local = victim_pose.inverse().apply(world.reshape(1, 3))[0]
     planar = math.hypot(local[0], local[1])
-    if planar > spoofer.max_range:
+    if planar > spec.spoofer_range:
         return None
-    return AzimuthWindow(center=math.atan2(local[1], local[0]), half_width=half_width)
+    return AzimuthWindow(center=math.atan2(local[1], local[0]), half_width=spec.half_width)
 
 
 def _planar(points: np.ndarray):
@@ -177,12 +169,12 @@ def apply_attack(
 
 def attack_dataset(
     dataset: FrameDataset,
-    spoofer: SpooferState,
+    position: tuple[float, float],
     spec: AttackSpec,
     sensor: SensorModel,
 ) -> FrameDataset:
-    """Apply the attack frame-by-frame, aiming at the dataset's ground-truth
-    pose.
+    """Apply the attack frame-by-frame from a spoofer at the world ground
+    position `position`, aiming at the dataset's ground-truth pose.
 
     Frames for which the spoofer is out of range pass through as the same
     objects; every other frame is a new PointCloud. Per-frame noise streams
@@ -190,9 +182,11 @@ def attack_dataset(
     """
     if dataset.ground_truth is None:
         raise ParameterError("attack needs the dataset's ground truth (groundtruth.txt)")
+    if not all(map(math.isfinite, position)):
+        raise ParameterError(f"spoofer position {tuple(position)} must be finite")
     frames = []
     for i, frame in enumerate(dataset.frames):
-        window = spoof_window(dataset.ground_truth.poses[i], spoofer, spec.half_width)
+        window = spoof_window(dataset.ground_truth.poses[i], position, spec)
         if window is None:
             frames.append(frame)
             continue

@@ -10,7 +10,7 @@ import os
 import sys
 
 from . import __version__
-from .attacks import AttackSpec, SpooferState, attack_dataset
+from .attacks import INJECTION, REMOVAL_NO_NOISE, REMOVAL_NOISE, AttackSpec, attack_dataset
 from .datasets import FrameDataset, load_dataset, save_dataset
 from .errors import ParameterError, SmvslabError
 from .geometry import AzimuthBinning, load_xyz, save_xyz
@@ -24,9 +24,9 @@ from .textio import read_table, to_array, write_manifest, write_table
 from .trajectory import Trajectory
 
 ATTACK_FLAG_TO_MODEL = {
-    "hfr": "removal_no_noise",
-    "hfr-noise": "removal_noise",
-    "inject": "injection",
+    "hfr": REMOVAL_NO_NOISE,
+    "hfr-noise": REMOVAL_NOISE,
+    "inject": INJECTION,
 }
 
 
@@ -120,7 +120,7 @@ def _add_attack(p):
                    help="full window width")
     p.add_argument("--spoofer-x", type=float, default=None)
     p.add_argument("--spoofer-y", type=float, default=None)
-    p.add_argument("--spoofer-range", type=float, default=18.0)
+    p.add_argument("--spoofer-range", type=float, default=AttackSpec.spoofer_range)
 
 
 def _add_placement(p):
@@ -222,6 +222,7 @@ def _attack_spec_from(args, seed) -> AttackSpec:
         layers=args.layers,
         noise_range=(args.noise_min, args.noise_max),
         half_width=half_width,
+        spoofer_range=args.spoofer_range,
         seed=seed,
     )
 
@@ -338,14 +339,11 @@ def _cmd_place(args, seed):
 
 
 def _cmd_attack(args, seed):
-    ds = load_dataset(args.dataset)
+    spec = _attack_spec_from(args, seed)
     if args.spoofer_x is None or args.spoofer_y is None:
         raise SmvslabError("attack needs --spoofer-x and --spoofer-y")
-    spoofer = SpooferState(
-        (args.spoofer_x, args.spoofer_y), max_range=args.spoofer_range
-    )
-    spec = _attack_spec_from(args, seed)
-    attacked = attack_dataset(ds, spoofer, spec, _sensor_from(args))
+    ds = load_dataset(args.dataset)
+    attacked = attack_dataset(ds, (args.spoofer_x, args.spoofer_y), spec, _sensor_from(args))
     save_dataset(attacked, args.out)
 
 
@@ -388,6 +386,7 @@ def _cmd_report(args, seed):
 def _cmd_pipeline(args, seed):
     out = args.out
     cfg = _smvs_cfg_from(args, seed)
+    spec = _attack_spec_from(args, seed)
     ds = _simulate(args, seed)
     save_dataset(ds, os.path.join(out, "dataset"))
 
@@ -403,13 +402,8 @@ def _cmd_pipeline(args, seed):
     profile = trajectory_smvs(ds, benign, cfg)
     _save_profile(out, profile)
 
-    placement = _place(profile, args)
-    position = choose_recommended(placement)
-    spoofer = SpooferState(
-        (float(position[0]), float(position[1])), max_range=args.spoofer_range
-    )
-    spec = _attack_spec_from(args, seed)
-    attacked = attack_dataset(ds, spoofer, spec, _sensor_from(args))
+    position = choose_recommended(_place(profile, args))
+    attacked = attack_dataset(ds, position, spec, _sensor_from(args))
     save_dataset(attacked, os.path.join(out, "attacked_dataset"))
 
     est, statuses = _localize(attacked, args.pipeline, origin, prior)

@@ -9,10 +9,6 @@ class ParameterError(SmvslabError, ValueError):
     """A precondition on user-supplied parameters was violated."""
 
 
-class QueryError(SmvslabError):
-    """A spatial query was issued against an unusable index."""
-
-
 class DegenerateLinearizationError(SmvslabError):
     """No correspondences were found; the linear system is empty."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ParameterError, QueryError
+from .errors import ParameterError
 from .textio import read_array, write_array
 
 TWO_PI = 2.0 * math.pi
@@ -53,14 +53,6 @@ class PointCloud:
     def has_covariances(self):
         return self.covariances is not None
 
-    def select(self, indices) -> "PointCloud":
-        """Subcloud at the given indices (covariances follow)."""
-        covs = self.covariances[indices] if self.has_covariances else None
-        return PointCloud(self.points[indices], covs)
-
-    def with_covariances(self, covariances) -> "PointCloud":
-        return PointCloud(self.points, covariances)
-
 
 @dataclass(frozen=True)
 class AzimuthBinning:
@@ -83,7 +75,8 @@ THREADED_QUERY_SIZE = 10_000
 
 
 class SpatialIndex:
-    """Immutable kd-tree over a PointCloud; exact nearest-neighbor queries.
+    """Immutable kd-tree over a non-empty PointCloud; exact nearest-neighbor
+    queries.
 
     The tree splits at sliding midpoints (`balanced_tree=False`), which
     builds faster than median splits and answers scan-matching queries
@@ -100,11 +93,10 @@ class SpatialIndex:
     __slots__ = ("cloud", "_tree")
 
     def __init__(self, cloud: PointCloud):
+        if len(cloud) == 0:
+            raise ParameterError("cannot index an empty cloud")
         self.cloud = cloud
-        self._tree = cKDTree(cloud.points, balanced_tree=False) if len(cloud) else None
-
-    def __len__(self):
-        return len(self.cloud)
+        self._tree = cKDTree(cloud.points, balanced_tree=False)
 
     @property
     def has_covariances(self):
@@ -118,10 +110,8 @@ class SpatialIndex:
         """Raw batched query; returns (distances, ids) arrays shaped (M, k).
 
         Neighbors farther than `max_distance` may come back as distance inf
-        and id len(self); the search skips the regions beyond it.
+        and id len(self.cloud); the search skips the regions beyond it.
         """
-        if self._tree is None:
-            raise QueryError("query against an empty index")
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         kk = min(k, len(self.cloud))
         # The tree keeps only neighbors strictly inside its bound, compared
@@ -208,7 +198,9 @@ def voxel_dedup(cloud: PointCloud, voxel: float) -> PointCloud:
         return cloud
     flat = _voxel_keys(cloud.points, voxel)
     _, first = np.unique(flat, return_index=True)
-    return cloud.select(np.sort(first))
+    keep = np.sort(first)
+    covs = cloud.covariances[keep] if cloud.has_covariances else None
+    return PointCloud(cloud.points[keep], covs)
 
 
 def _check_neighbor_count(cloud: PointCloud, k: int):
@@ -320,7 +312,7 @@ def estimate_covariances(cloud: PointCloud, k: int, epsilon: float = 1e-3) -> Po
     the plane normal gets epsilon and the in-plane directions 1.
     """
     _check_neighbor_count(cloud, k)
-    return cloud.with_covariances(_covariances(SpatialIndex(cloud), slice(None), k, epsilon))
+    return PointCloud(cloud.points, _covariances(SpatialIndex(cloud), slice(None), k, epsilon))
 
 
 def azimuth_bins(points, binning: AzimuthBinning):

@@ -176,9 +176,6 @@ def gauss_newton_align(source: PointCloud, index: SpatialIndex, init: PoseSE3) -
     until the step does not raise the fixed-correspondence cost
     (`matching_cost`).
     """
-    if len(index) == 0:
-        raise ParameterError("target cloud is empty")
-
     pose = init
     cost = float("nan")
     converged = False

@@ -175,7 +175,8 @@ def bucket_index(smvs: float, edges) -> int:
 def bucket_report(runs: list[RunRecord], edges=DEFAULT_BUCKET_EDGES) -> BucketTable:
     """Group runs by SMVS bucket and attack model; mean +- std per cell.
 
-    `edges` must be at least 2 finite, strictly increasing values."""
+    `edges` must be at least 2 finite, strictly increasing values. A run
+    whose SMVS is nan (no score) falls in no bucket."""
     edges = tuple(edges)
     if len(edges) < 2 or not all(map(math.isfinite, edges)) or any(
         b <= a for a, b in zip(edges, edges[1:])
@@ -186,6 +187,8 @@ def bucket_report(runs: list[RunRecord], edges=DEFAULT_BUCKET_EDGES) -> BucketTa
     table = BucketTable(edges=edges)
     groups: dict[tuple[int, str], list[RunRecord]] = {}
     for run in runs:
+        if math.isnan(run.smvs):
+            continue
         groups.setdefault((bucket_index(run.smvs, edges), run.model), []).append(run)
     for key, members in groups.items():
         m = np.array([r.ape_m for r in members])

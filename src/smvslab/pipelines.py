@@ -55,7 +55,7 @@ def _prepare_frame(frame: PointCloud) -> PointCloud:
     A prepared cloud is reused whenever the same cloud comes back: a frame
     that an attack replay passed through untouched, or a frame that both
     pipelines localize. This holds only while no caller mutates a
-    PointCloud (see its docstring); `clear_caches` drops what is kept.
+    PointCloud (see its docstring).
     """
     down = voxel_downsample(frame, GICP.frame_voxel)
     k = min(GICP.covariance_k, len(down))
@@ -124,13 +124,6 @@ def _prepare_map(prior_map: PointCloud) -> SpatialIndex:
     k = min(GICP.covariance_k, len(map_down))
     map_cloud = estimate_covariances(map_down, k=k, epsilon=GICP.covariance_epsilon)
     return SpatialIndex(map_cloud)
-
-
-def clear_caches():
-    """Drop the prepared frames and prior maps that the pipelines keep for
-    reuse. Results do not depend on them."""
-    _prepare_frame.cache_clear()
-    _prepare_map.cache_clear()
 
 
 def priormap_localize(dataset: FrameDataset, prior_map: PointCloud, init: PoseSE3):

@@ -40,15 +40,6 @@ from .trajectory import Trajectory, poses_from_columns
 
 
 @dataclass
-class ImportanceCloud:
-    importance: np.ndarray          # (N,), values in [0, 1]
-    lambda_min_global: float
-    x_min_global: np.ndarray        # (6,)
-    matched: np.ndarray             # (N,) bool
-    degenerate_spectrum: bool
-
-
-@dataclass
 class SmvsFrameEntry:
     """One frame's score: the fields of its `smvs_profile.csv` row."""
 
@@ -161,8 +152,11 @@ def _local_directions(q, weights):
     return (_matrix_power(q, -0.5) @ u[:, :, None])[:, :, 0]
 
 
-def pointwise_smvs(source: PointCloud, index: SpatialIndex) -> ImportanceCloud:
+def pointwise_smvs(source: PointCloud, index: SpatialIndex):
     """Per-point importance of the source cloud against an indexed target.
+
+    Returns (importance, degenerate): the (N,) importances in [0, 1], and
+    whether the global Hessian's two smallest eigenvalues (nearly) coincide.
 
     `index` carries the target's covariances, as a LazyCovarianceIndex
     does. Linearizes once at the identity pose with the pipelines'
@@ -183,27 +177,17 @@ def pointwise_smvs(source: PointCloud, index: SpatialIndex) -> ImportanceCloud:
         raise AnalysisError(str(exc)) from exc
 
     eigvals, eigvecs = np.linalg.eigh(system.h_global)
-    lam_min = float(eigvals[0])
     scale = max(abs(float(eigvals[-1])), 1e-300)
     degenerate = bool((eigvals[1] - eigvals[0]) / scale < 1e-6)
     x_min = eigvecs[:, 0].copy()
 
-    matched = system.correspondences >= 0
     q = system.points
     w = _local_directions(q, system.weights)
     importance = np.zeros(len(source))
-    importance[matched] = np.abs(
+    importance[system.correspondences >= 0] = np.abs(
         np.einsum("ni,ni->n", w, np.stack(_cross(q.T, x_min[:3]), axis=1) - x_min[3:])
     )
-    importance = np.clip(importance, 0.0, 1.0)
-
-    return ImportanceCloud(
-        importance=importance,
-        lambda_min_global=lam_min,
-        x_min_global=x_min,
-        matched=matched,
-        degenerate_spectrum=degenerate,
-    )
+    return np.clip(importance, 0.0, 1.0), degenerate
 
 
 def framewise_smvs(
@@ -265,8 +249,8 @@ def trajectory_smvs(
         source = estimate_covariances(source, k=k, epsilon=GICP.covariance_epsilon)
         target = LazyCovarianceIndex(target, k=k, epsilon=GICP.covariance_epsilon)
         try:
-            imp = pointwise_smvs(source, target)
-            smvs, k_center, _ = framewise_smvs(imp.importance, source, cfg.binning, cfg.d_th)
+            importance, degenerate = pointwise_smvs(source, target)
+            smvs, k_center, _ = framewise_smvs(importance, source, cfg.binning, cfg.d_th)
         except AnalysisError as exc:
             return exc
         return SmvsFrameEntry(
@@ -275,7 +259,7 @@ def trajectory_smvs(
             smvs=smvs,
             k_center=k_center,
             pose=benign_trajectory.poses[i],
-            degenerate_spectrum=imp.degenerate_spectrum,
+            degenerate_spectrum=degenerate,
         )
 
     if cfg.threads > 1:

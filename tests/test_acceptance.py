@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from local_hessians import local_hessians
-from smvslab.attacks import AttackSpec, AzimuthWindow, SpooferState, apply_injection, apply_removal, attack_dataset
+from smvslab.attacks import AttackSpec, AzimuthWindow, apply_injection, apply_removal, attack_dataset
 from smvslab.cli import dispatch
 from smvslab.geometry import AzimuthBinning, PointCloud, SpatialIndex, bin_center_angle
 from smvslab.matching import linearize, matching_cost
@@ -80,20 +80,21 @@ def smvs_profile(course):
     return trajectory_smvs(course, course.ground_truth, SmvsConfig(seed=7, threads=4))
 
 
-def spoofer_toward_peak_region(entry, max_range=SPOOFER_RANGE):
-    """Spoofer at a fixed standoff along the frame's peak-score direction."""
+def spoofer_toward_peak_region(entry):
+    """Spoofer position at a fixed standoff along the frame's peak-score direction."""
     angle = entry.pose.yaw() + bin_center_angle(entry.k_center, AzimuthBinning())
     p = entry.pose.translation
-    return SpooferState(
-        (p[0] + STANDOFF * math.cos(angle), p[1] + STANDOFF * math.sin(angle)),
-        max_range=max_range,
-    )
+    return (p[0] + STANDOFF * math.cos(angle), p[1] + STANDOFF * math.sin(angle))
+
+
+def attack_spec(seed):
+    return AttackSpec(model="removal_noise", noise_range=ATTACK_NOISE_RANGE,
+                      spoofer_range=SPOOFER_RANGE, seed=seed)
 
 
 def attacked_ape_pair(course, gt_relative, prior_map, spoofer, seed):
     """APE RMSE of both pipelines on one attacked replay."""
-    spec = AttackSpec(model="removal_noise", noise_range=ATTACK_NOISE_RANGE, seed=seed)
-    attacked = attack_dataset(course, spoofer, spec, SENSOR)
+    attacked = attack_dataset(course, spoofer, attack_spec(seed), SENSOR)
     odom_est, _ = odometry_run(attacked)
     odom = ape(odom_est, gt_relative).rmse
     pm_est, _ = priormap_localize(
@@ -104,11 +105,7 @@ def attacked_ape_pair(course, gt_relative, prior_map, spoofer, seed):
 
 
 def attacked_priormap_ape(course, prior_map, position, seed):
-    spoofer = SpooferState(
-        (float(position[0]), float(position[1])), max_range=SPOOFER_RANGE
-    )
-    spec = AttackSpec(model="removal_noise", noise_range=ATTACK_NOISE_RANGE, seed=seed)
-    attacked = attack_dataset(course, spoofer, spec, SENSOR)
+    attacked = attack_dataset(course, position, attack_spec(seed), SENSOR)
     est, _ = priormap_localize(attacked, prior_map, init=course.ground_truth.poses[0])
     return ape(est, course.ground_truth).rmse
 
@@ -252,9 +249,9 @@ def test_criterion_2_pointwise_oracle(capsys):
 
         source = PointCloud(pts, spd())
         target = PointCloud(jitter, spd())
-        imp = pointwise_smvs(source, SpatialIndex(target))
+        importance, _ = pointwise_smvs(source, SpatialIndex(target))
         oracle = dense_importance_oracle(source, target)
-        worst = max(worst, float(np.max(np.abs(imp.importance - oracle))))
+        worst = max(worst, float(np.max(np.abs(importance - oracle))))
     ok = worst < 1e-9
     announce(
         capsys,

@@ -8,7 +8,6 @@ from smvslab.attacks import (
     DEFAULT_HALF_WIDTH,
     AttackSpec,
     AzimuthWindow,
-    SpooferState,
     apply_attack,
     apply_injection,
     apply_removal,
@@ -112,30 +111,37 @@ def test_attack_spec_rejects_non_finite_or_negative_distances(kwargs):
         AttackSpec(**kwargs)
 
 
-@pytest.mark.parametrize("position, max_range", [
+@pytest.mark.parametrize("position, spoofer_range", [
     ((math.nan, 0.0), 18.0),
     ((0.0, math.inf), 18.0),
     ((0.0, 0.0), math.nan),
     ((0.0, 0.0), 0.0),
-    ((0.0, 0.0), -18.0),
+    ((0.0, 0.0), -1.0),
 ], ids=["nan-x", "inf-y", "nan-range", "zero-range", "negative-range"])
-def test_spoofer_rejects_non_finite_position_and_bad_range(position, max_range):
-    with pytest.raises(ParameterError):
-        SpooferState(position, max_range=max_range)
+def test_spoofer_rejects_non_finite_position_and_bad_range(
+    position, spoofer_range, monkeypatch
+):
+    def aimed(*args, **kwargs):
+        raise AssertionError("a frame was aimed at")
+
+    # The range is the spec's, the position attack_dataset's: both fail
+    # before the first frame.
+    monkeypatch.setattr("smvslab.attacks.spoof_window", aimed)
+    with pytest.raises(ParameterError, match="spoofer (position|range)"):
+        attack_dataset(make_dataset(), position, AttackSpec(spoofer_range=spoofer_range), SENSOR)
 
 
 def test_spoof_window_geometry():
     pose = PoseSE3.from_rpy(0.0, 0.0, math.pi / 2, (10.0, 0.0, 1.5))
-    spoofer = SpooferState(position=(10.0, 5.0), max_range=50.0)
-    window = spoof_window(pose, spoofer, DEFAULT_HALF_WIDTH)
+    window = spoof_window(pose, (10.0, 5.0), AttackSpec(spoofer_range=50.0))
     # Spoofer is straight ahead of the rotated sensor.
     assert window.center == pytest.approx(0.0, abs=1e-9)
+    assert window.half_width == DEFAULT_HALF_WIDTH
 
 
 def test_spoof_window_out_of_range():
     pose = PoseSE3.identity()
-    spoofer = SpooferState(position=(100.0, 0.0), max_range=18.0)
-    assert spoof_window(pose, spoofer, DEFAULT_HALF_WIDTH) is None
+    assert spoof_window(pose, (100.0, 0.0), AttackSpec(spoofer_range=18.0)) is None
 
 
 # ---------------------------------------------------------------- removal
@@ -252,10 +258,9 @@ def make_dataset(num_frames=4):
 
 def test_attack_dataset_deterministic():
     ds = make_dataset()
-    spoofer = SpooferState(position=(3.0, 4.0), max_range=50.0)
-    spec = AttackSpec(model="removal_noise", seed=9)
-    a = attack_dataset(ds, spoofer, spec, SENSOR)
-    b = attack_dataset(ds, spoofer, spec, SENSOR)
+    spec = AttackSpec(model="removal_noise", spoofer_range=50.0, seed=9)
+    a = attack_dataset(ds, (3.0, 4.0), spec, SENSOR)
+    b = attack_dataset(ds, (3.0, 4.0), spec, SENSOR)
     for fa, fb in zip(a.frames, b.frames):
         assert np.array_equal(fa.points, fb.points)
 
@@ -263,9 +268,8 @@ def test_attack_dataset_deterministic():
 def test_attack_dataset_out_of_range_frames_untouched():
     ds = make_dataset()
     # In range only near the start of the course.
-    spoofer = SpooferState(position=(0.0, 3.0), max_range=3.5)
-    spec = AttackSpec(model="removal_no_noise", seed=0)
-    out = attack_dataset(ds, spoofer, spec, SENSOR)
+    spec = AttackSpec(model="removal_no_noise", spoofer_range=3.5, seed=0)
+    out = attack_dataset(ds, (0.0, 3.0), spec, SENSOR)
     assert np.array_equal(out.frames[-1].points, ds.frames[-1].points)
     assert out.frames[-1] is ds.frames[-1]
     assert out.frames[0] is not ds.frames[0]
@@ -276,7 +280,7 @@ def test_attack_dataset_needs_ground_truth():
     ds = make_dataset()
     blind = FrameDataset(ds.frames, ds.timestamps)
     with pytest.raises(ParameterError, match="ground truth"):
-        attack_dataset(blind, SpooferState((0.0, 0.0), max_range=18.0), AttackSpec(), SENSOR)
+        attack_dataset(blind, (0.0, 0.0), AttackSpec(), SENSOR)
 
 
 def test_apply_attack_dispatches_models():

@@ -137,6 +137,21 @@ def test_threads_below_one_exit_1_before_any_frame(
     assert f"error: threads={threads} must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--window-deg", "0"],
+    ["--spoofer-range", "0"],
+    ["--noise-min", "5", "--noise-max", "1"],
+    ["--layers", "0"],
+    ["--wall-dist", "0"],
+], ids=["window-deg", "spoofer-range", "noise-range", "layers", "wall-dist"])
+def test_pipeline_bad_attack_flag_exits_1_and_writes_nothing(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    argv = ["pipeline", "--out", str(out), "--top-m", "5"] + SHORT_COURSE + FAST_SENSOR
+    assert run(argv + flags) == 1
+    assert "error:" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 def test_pyproject_reads_the_package_version():
     from setuptools.config.pyprojecttoml import read_configuration
 

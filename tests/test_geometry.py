@@ -10,7 +10,7 @@ from scipy.spatial.transform import Rotation
 from azimuth_oracle import azimuth_bin
 from eigen_oracle import smallest_eigenvectors_stacked
 from smvslab import geometry, smvs
-from smvslab.errors import ParameterError, QueryError
+from smvslab.errors import ParameterError
 from smvslab.geometry import (
     AzimuthBinning,
     LazyCovarianceIndex,
@@ -52,14 +52,6 @@ def test_pointcloud_covariance_count_mismatch():
         PointCloud(np.zeros((3, 3)), np.zeros((2, 3, 3)))
 
 
-def test_pointcloud_select_keeps_covariances():
-    covs = np.stack([np.eye(3) * (i + 1) for i in range(4)])
-    cloud = PointCloud(np.arange(12.0).reshape(4, 3), covs)
-    sub = cloud.select([2, 0])
-    assert np.allclose(sub.points, cloud.points[[2, 0]])
-    assert np.allclose(sub.covariances, covs[[2, 0]])
-
-
 def test_azimuth_binning_validation():
     with pytest.raises(ParameterError):
         AzimuthBinning(3)
@@ -68,10 +60,9 @@ def test_azimuth_binning_validation():
     assert AzimuthBinning(72).bin_width == pytest.approx(2 * math.pi / 72)
 
 
-def test_query_empty_index_raises():
-    index = SpatialIndex(PointCloud(np.empty((0, 3))))
-    with pytest.raises(QueryError):
-        index.query((0.0, 0.0, 0.0), k=1)
+def test_empty_cloud_cannot_be_indexed():
+    with pytest.raises(ParameterError, match="empty cloud"):
+        SpatialIndex(PointCloud(np.empty((0, 3))))
 
 
 class WorkersSeen:

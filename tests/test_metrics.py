@@ -158,6 +158,19 @@ def test_bucket_table_csv_has_na_for_empty_cells(tmp_path):
     assert "n/a" in lines[3]  # some bucket other than the populated one
 
 
+def test_bucket_report_leaves_unscored_runs_out():
+    # runs.csv writes nan when no replaced frame was scored; such a run is
+    # in no bucket, least of all the most vulnerable-looking bucket 0.
+    runs = [
+        RunRecord(smvs=math.nan, model="removal_noise", ape_m=1.0, ape_deg=2.0),
+        RunRecord(smvs=-500.0, model="removal_noise", ape_m=3.0, ape_deg=4.0),
+    ]
+    table = bucket_report(runs)
+    assert list(table.cells) == [(3, "removal_noise")]
+    assert table.cells[(3, "removal_noise")].count == 1
+    assert bucket_report(runs[:1]).cells == {}
+
+
 @pytest.mark.parametrize("edges", [
     (), (1.0,), (5.0, 1.0, -3.0), (0.0, 0.0), (0.0, math.nan), (-math.inf, 0.0),
 ])

@@ -9,7 +9,6 @@ from smvslab.matching import MatcherConfig
 from smvslab.pipelines import (
     PipelineConfig,
     build_prior_map,
-    clear_caches,
     odometry_run,
     priormap_localize,
 )
@@ -134,16 +133,22 @@ def test_pipeline_config_defaults():
 
 def test_cached_preparation_matches_fresh(short_course):
     # Prepared frames and prior maps are cached by cloud identity; a run
-    # that reuses them gives exactly what a run from empty caches gives.
+    # that reuses them gives exactly what a run on never-seen copies gives.
     prior = build_prior_map(short_course, short_course.ground_truth)
     init = short_course.ground_truth.poses[0]
 
-    def runs():
-        return odometry_run(short_course), priormap_localize(short_course, prior, init=init)
+    def runs(course, prior_map):
+        return odometry_run(course), priormap_localize(course, prior_map, init=init)
 
-    clear_caches()
-    fresh = runs()
-    cached = runs()
+    # Copies have identities no cache has seen, so the first run misses.
+    copies = FrameDataset(
+        [PointCloud(f.points) for f in short_course.frames],
+        short_course.timestamps,
+        short_course.ground_truth,
+    )
+    prior_copy = PointCloud(prior.points)
+    fresh = runs(copies, prior_copy)
+    cached = runs(copies, prior_copy)
     for (est_a, st_a), (est_b, st_b) in zip(fresh, cached):
         for a, b in zip(est_a.poses, est_b.poses):
             assert np.array_equal(a.quat, b.quat)

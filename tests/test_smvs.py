@@ -17,7 +17,9 @@ from smvslab.geometry import (
     bin_center_angle,
     estimate_covariances,
 )
+from smvslab.matching import linearize
 from smvslab.pipelines import GICP
+from smvslab.se3 import PoseSE3
 from smvslab.smvs import (
     SmvsConfig,
     _local_directions,
@@ -110,6 +112,12 @@ def prepared_clones(seed, sigma=0.01):
     return estimate_covariances(src, k=10), estimate_covariances(tgt, k=10)
 
 
+def identity_linearization(source, index):
+    """The linearization `pointwise_smvs` scores: at the identity, with the
+    pipelines' correspondence radius."""
+    return linearize(source, index, PoseSE3.identity(), GICP.matcher.max_corr_dist)
+
+
 def dense_importance_oracle(source, target, max_corr_dist=2.0):
     """Recompute importances from scratch with per-point dense eigensolves."""
     from scipy.linalg import cholesky, eigh
@@ -146,10 +154,11 @@ def dense_importance_oracle(source, target, max_corr_dist=2.0):
 def test_pointwise_matches_dense_oracle():
     for seed in range(3):
         source, target = prepared_clones(seed)
-        imp = pointwise_smvs(source, SpatialIndex(target))
+        importance, _ = pointwise_smvs(source, SpatialIndex(target))
         oracle, matched = dense_importance_oracle(source, target)
-        assert np.array_equal(imp.matched, matched)
-        assert np.max(np.abs(imp.importance - oracle)) < 1e-9
+        system = identity_linearization(source, SpatialIndex(target))
+        assert np.array_equal(system.correspondences >= 0, matched)
+        assert np.max(np.abs(importance - oracle)) < 1e-9
 
 
 @st.composite
@@ -185,19 +194,23 @@ def test_pointwise_lazy_target_bit_identical():
     for seed in range(3):
         src, tgt = perturbed_clones(structured_frame(seed), 0.01, 0.9, seed)
         source = estimate_covariances(src, k=k, epsilon=eps)
-        eager = pointwise_smvs(source, SpatialIndex(estimate_covariances(tgt, k=k, epsilon=eps)))
-        lazy = pointwise_smvs(source, LazyCovarianceIndex(tgt, k=k, epsilon=eps))
-        assert np.array_equal(lazy.importance, eager.importance)
-        assert lazy.lambda_min_global == eager.lambda_min_global
-        assert np.array_equal(lazy.x_min_global, eager.x_min_global)
-        assert np.array_equal(lazy.matched, eager.matched)
+        eager_index = SpatialIndex(estimate_covariances(tgt, k=k, epsilon=eps))
+        lazy_index = LazyCovarianceIndex(tgt, k=k, epsilon=eps)
+        eager, eager_degenerate = pointwise_smvs(source, eager_index)
+        lazy, lazy_degenerate = pointwise_smvs(source, lazy_index)
+        assert np.array_equal(lazy, eager)
+        assert lazy_degenerate == eager_degenerate
+        eager_system = identity_linearization(source, eager_index)
+        lazy_system = identity_linearization(source, lazy_index)
+        assert np.array_equal(lazy_system.h_global, eager_system.h_global)
+        assert np.array_equal(lazy_system.correspondences, eager_system.correspondences)
 
 
 def test_pointwise_importance_in_unit_interval():
     source, target = prepared_clones(4)
-    imp = pointwise_smvs(source, SpatialIndex(target))
-    assert np.all(imp.importance >= 0.0)
-    assert np.all(imp.importance <= 1.0)
+    importance, _ = pointwise_smvs(source, SpatialIndex(target))
+    assert np.all(importance >= 0.0)
+    assert np.all(importance <= 1.0)
 
 
 def test_pointwise_unmatched_importance_zero():
@@ -208,9 +221,9 @@ def test_pointwise_unmatched_importance_zero():
     target = estimate_covariances(
         PointCloud(base.points + rng.normal(0, 0.01, base.points.shape)), k=10
     )
-    imp = pointwise_smvs(source, SpatialIndex(target))
-    assert not imp.matched[-1]
-    assert imp.importance[-1] == 0.0
+    importance, _ = pointwise_smvs(source, SpatialIndex(target))
+    assert identity_linearization(source, SpatialIndex(target)).correspondences[-1] < 0
+    assert importance[-1] == 0.0
 
 
 def test_pointwise_rotation_equivariance():
@@ -221,9 +234,9 @@ def test_pointwise_rotation_equivariance():
     rot = PoseSE3.from_rpy(0.0, 0.0, 0.7).rotation_matrix()
     src_r = PointCloud(source.points @ rot.T, rot @ source.covariances @ rot.T)
     tgt_r = PointCloud(target.points @ rot.T, rot @ target.covariances @ rot.T)
-    imp = pointwise_smvs(source, SpatialIndex(target))
-    imp_r = pointwise_smvs(src_r, SpatialIndex(tgt_r))
-    assert np.max(np.abs(imp.importance - imp_r.importance)) < 1e-7
+    importance, _ = pointwise_smvs(source, SpatialIndex(target))
+    importance_r, _ = pointwise_smvs(src_r, SpatialIndex(tgt_r))
+    assert np.max(np.abs(importance - importance_r)) < 1e-7
 
 
 def test_pointwise_no_overlap_raises():
@@ -243,8 +256,8 @@ def test_degenerate_spectrum_flagged_for_corridor():
     target = estimate_covariances(
         PointCloud(plane + rng.normal(0, 0.005, plane.shape)), k=10
     )
-    imp = pointwise_smvs(source, SpatialIndex(target))
-    assert imp.degenerate_spectrum
+    _, degenerate = pointwise_smvs(source, SpatialIndex(target))
+    assert degenerate
 
 
 # ---------------------------------------------------------------- frame-wise
@@ -289,13 +302,13 @@ def test_framewise_uniform_closed_form():
 
 def test_framewise_score_mass_conserved():
     source, target = prepared_clones(9)
-    imp = pointwise_smvs(source, SpatialIndex(target))
+    importance, _ = pointwise_smvs(source, SpatialIndex(target))
     binning = AzimuthBinning(72)
-    _, _, scores = framewise_smvs(imp.importance, source, binning, d_th=8)
+    _, _, scores = framewise_smvs(importance, source, binning, d_th=8)
     from smvslab.geometry import azimuth_bins
 
     _, valid = azimuth_bins(source.points, binning)
-    assert scores.sum() == pytest.approx(imp.importance[valid].sum())
+    assert scores.sum() == pytest.approx(importance[valid].sum())
 
 
 def test_framewise_rotation_by_whole_bins_shifts_center():
