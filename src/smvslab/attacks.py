@@ -110,6 +110,12 @@ def apply_removal(
     return PointCloud(np.concatenate([kept, noise], axis=0))
 
 
+def check_wall_in_range(spec: AttackSpec, sensor: SensorModel):
+    """An injected wall must lie inside the sensor's range."""
+    if spec.wall_distance >= sensor.max_range:
+        raise ParameterError("wall distance must be below the sensor max range")
+
+
 def apply_injection(
     frame: PointCloud,
     window: AzimuthWindow,
@@ -122,8 +128,7 @@ def apply_injection(
     nearer points survive. The arc is sampled at the sensor's horizontal
     resolution on min(layers, rings) rings centered on the horizon.
     """
-    if spec.wall_distance >= sensor.max_range:
-        raise ParameterError("wall distance must be below the sensor max range")
+    check_wall_in_range(spec, sensor)
 
     azim, planar = _planar(frame.points)
     inside = window.contains(azim)

@@ -10,13 +10,20 @@ import os
 import sys
 
 from . import __version__
-from .attacks import INJECTION, REMOVAL_NO_NOISE, REMOVAL_NOISE, AttackSpec, attack_dataset
+from .attacks import (
+    INJECTION,
+    REMOVAL_NO_NOISE,
+    REMOVAL_NOISE,
+    AttackSpec,
+    attack_dataset,
+    check_wall_in_range,
+)
 from .datasets import FrameDataset, load_dataset, save_dataset
 from .errors import ParameterError, SmvslabError
 from .geometry import AzimuthBinning, load_xyz, save_xyz
 from .metrics import DEFAULT_BUCKET_EDGES, RunRecord, ape, bucket_report, rpe
 from .pipelines import build_prior_map, odometry_run, priormap_localize
-from .placement import choose_recommended, optimize_placement, save_placement
+from .placement import check_placement, choose_recommended, optimize_placement, save_placement
 from .se3 import PoseSE3
 from .simulate import SceneSpec, SensorModel, TrajectorySpec, build_scene, generate_dataset
 from .smvs import SmvsConfig, load_profile_csv, trajectory_smvs
@@ -269,13 +276,16 @@ def _save_metrics(path, rows: dict):
 
 
 def _localize(ds, pipeline, origin, prior):
-    """Run the chosen pipeline over `ds`, with poses in the world frame."""
+    """Run the chosen pipeline over `ds` from the world pose `origin`."""
     if pipeline == "priormap":
         return priormap_localize(ds, prior, init=origin)
-    est, statuses = odometry_run(ds)
-    # Odometry reports poses relative to its first frame; express them
-    # in the ground-truth world frame for downstream geometry.
-    return Trajectory(est.timestamps, [origin.compose(p) for p in est.poses]), statuses
+    return odometry_run(ds, origin)
+
+
+def _start_pose(ds) -> PoseSE3:
+    """Where a run starts in the world: the ground truth's first pose, else
+    the identity."""
+    return ds.ground_truth.poses[0] if ds.ground_truth is not None else PoseSE3.identity()
 
 
 def _save_profile(out, profile):
@@ -303,23 +313,19 @@ def _cmd_scene(args, seed):
 
 def _cmd_odom(args, seed):
     ds = load_dataset(args.dataset)
-    est, statuses = odometry_run(ds)
-    _save_run(args.out, "", est, statuses)
+    _save_run(args.out, "", *odometry_run(ds, _start_pose(ds)))
 
 
 def _cmd_localize(args, seed):
     ds = load_dataset(args.dataset)
     prior = load_xyz(args.map)
-    init = PoseSE3.identity()
+    init = _start_pose(ds)
     if args.init_traj:
         poses = Trajectory.load(args.init_traj).poses
         if not poses:
             raise SmvslabError(f"{args.init_traj}: no poses")
         init = poses[0]
-    elif ds.ground_truth is not None:
-        init = ds.ground_truth.poses[0]
-    est, statuses = priormap_localize(ds, prior, init=init)
-    _save_run(args.out, "", est, statuses)
+    _save_run(args.out, "", *priormap_localize(ds, prior, init=init))
 
 
 def _cmd_smvs(args, seed):
@@ -387,6 +393,12 @@ def _cmd_pipeline(args, seed):
     out = args.out
     cfg = _smvs_cfg_from(args, seed)
     spec = _attack_spec_from(args, seed)
+    sensor = _sensor_from(args)
+    # The placement and the injected wall run these checks again later;
+    # running them first means a bad flag writes nothing.
+    check_placement(args.top_m, args.standoff)
+    if spec.model == INJECTION:
+        check_wall_in_range(spec, sensor)
     ds = _simulate(args, seed)
     save_dataset(ds, os.path.join(out, "dataset"))
 
@@ -403,7 +415,7 @@ def _cmd_pipeline(args, seed):
     _save_profile(out, profile)
 
     position = choose_recommended(_place(profile, args))
-    attacked = attack_dataset(ds, position, spec, _sensor_from(args))
+    attacked = attack_dataset(ds, position, spec, sensor)
     save_dataset(attacked, os.path.join(out, "attacked_dataset"))
 
     est, statuses = _localize(attacked, args.pipeline, origin, prior)

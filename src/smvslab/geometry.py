@@ -191,16 +191,14 @@ def _voxel_keys(points: np.ndarray, voxel: float) -> np.ndarray:
 
 
 def voxel_dedup(cloud: PointCloud, voxel: float) -> PointCloud:
-    """Keep the first point (and covariance) per occupied voxel."""
+    """Keep the first point per occupied voxel, as a points-only cloud."""
     if voxel <= 0:
         raise ParameterError(f"voxel size must be > 0, got {voxel}")
     if len(cloud) == 0:
         return cloud
     flat = _voxel_keys(cloud.points, voxel)
     _, first = np.unique(flat, return_index=True)
-    keep = np.sort(first)
-    covs = cloud.covariances[keep] if cloud.has_covariances else None
-    return PointCloud(cloud.points[keep], covs)
+    return PointCloud(cloud.points[np.sort(first)])
 
 
 def _check_neighbor_count(cloud: PointCloud, k: int):

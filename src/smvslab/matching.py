@@ -53,7 +53,6 @@ class MatchResult:
     pose: PoseSE3
     iterations: int
     converged: bool
-    final_cost: float               # cost at the last linearization pose
 
 
 def _inverse_sym3(m):
@@ -177,7 +176,6 @@ def gauss_newton_align(source: PointCloud, index: SpatialIndex, init: PoseSE3) -
     (`matching_cost`).
     """
     pose = init
-    cost = float("nan")
     converged = False
     iterations = 0
 
@@ -215,9 +213,4 @@ def gauss_newton_align(source: PointCloud, index: SpatialIndex, init: PoseSE3) -
             converged = True
             break
 
-    return MatchResult(
-        pose=pose,
-        iterations=iterations,
-        converged=converged,
-        final_cost=cost,
-    )
+    return MatchResult(pose=pose, iterations=iterations, converged=converged)

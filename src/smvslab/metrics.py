@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +20,6 @@ class ApeStats:
     std: float
     max: float
     rot_rmse_deg: float
-    rot_max_deg: float
-    count: int
 
 
 @dataclass
@@ -28,7 +27,6 @@ class RpeStats:
     max: float
     mean: float
     rot_max_deg: float
-    count: int
 
 
 def _associate(est: Trajectory, ref: Trajectory):
@@ -74,15 +72,12 @@ def ape(est: Trajectory, ref: Trajectory, align_first_pose: bool = True) -> ApeS
         [math.degrees(e.rotation_angle_to(r)) for e, r in zip(est_poses, ref_poses)]
     )
     t_rmse, t_mean, t_std, t_max = _stats(trans)
-    r_rmse, _, _, r_max = _stats(rot)
     return ApeStats(
         rmse=t_rmse,
         mean=t_mean,
         std=t_std,
         max=t_max,
-        rot_rmse_deg=r_rmse,
-        rot_max_deg=r_max,
-        count=len(trans),
+        rot_rmse_deg=_stats(rot)[0],
     )
 
 
@@ -101,15 +96,10 @@ def rpe(est: Trajectory, ref: Trajectory, delta: int = 1) -> RpeStats:
         rot.append(math.degrees(rel_est.rotation_angle_to(rel_ref)))
     trans = np.asarray(trans)
     rot = np.asarray(rot)
-    return RpeStats(
-        max=float(trans.max()),
-        mean=float(trans.mean()),
-        rot_max_deg=float(rot.max()),
-        count=len(trans),
-    )
+    return RpeStats(max=float(trans.max()), mean=float(trans.mean()), rot_max_deg=float(rot.max()))
 
 
-DEFAULT_BUCKET_EDGES = (-10000.0, -6000.0, -3000.0, -1000.0)
+DEFAULT_BUCKET_EDGES = (-6000.0, -3000.0, -1000.0)
 
 
 @dataclass
@@ -131,26 +121,22 @@ class BucketCell:
 
 @dataclass
 class BucketTable:
-    edges: tuple[float, ...]
+    edges: tuple[float, ...]                    # n thresholds, n + 1 buckets
     cells: dict = field(default_factory=dict)   # (bucket index, model) -> BucketCell
 
     def bucket_label(self, idx: int) -> str:
         if idx == 0:
-            return f"S < {self.edges[1]:g}"
-        if idx == len(self.edges) - 1:
+            return f"S < {self.edges[0]:g}"
+        if idx == len(self.edges):
             return f"{self.edges[-1]:g} < S"
-        return f"{self.edges[idx]:g} < S < {self.edges[idx + 1]:g}"
-
-    @property
-    def num_buckets(self) -> int:
-        return len(self.edges)
+        return f"{self.edges[idx - 1]:g} < S < {self.edges[idx]:g}"
 
     def save_csv(self, path):
         models = sorted({m for _, m in self.cells})
         columns = [f"{m}_mean_m,{m}_std_m,{m}_mean_deg,{m}_std_deg,{m}_count" for m in models]
         header = ",".join(["bucket", *columns])
         rows = []
-        for b in range(self.num_buckets):
+        for b in range(len(self.edges) + 1):
             row = [self.bucket_label(b)]
             for m in models:
                 cell = self.cells.get((b, m))
@@ -164,25 +150,22 @@ class BucketTable:
 
 
 def bucket_index(smvs: float, edges) -> int:
-    """Bucket 0 holds everything below edges[1]; the last bucket is open above."""
-    idx = 0
-    for b in range(1, len(edges)):
-        if smvs > edges[b]:
-            idx = b
-    return idx
+    """The number of thresholds below `smvs`: bucket 0 holds everything up to
+    edges[0], and the last bucket is open above."""
+    return bisect_left(edges, smvs)
 
 
 def bucket_report(runs: list[RunRecord], edges=DEFAULT_BUCKET_EDGES) -> BucketTable:
     """Group runs by SMVS bucket and attack model; mean +- std per cell.
 
-    `edges` must be at least 2 finite, strictly increasing values. A run
-    whose SMVS is nan (no score) falls in no bucket."""
+    `edges` are the thresholds between buckets: one or more finite, strictly
+    increasing values. A run whose SMVS is nan (no score) falls in no bucket."""
     edges = tuple(edges)
-    if len(edges) < 2 or not all(map(math.isfinite, edges)) or any(
+    if not edges or not all(map(math.isfinite, edges)) or any(
         b <= a for a, b in zip(edges, edges[1:])
     ):
         raise ParameterError(
-            f"bucket edges {edges} must be at least 2 finite, strictly increasing values"
+            f"bucket edges {edges} must be one or more finite, strictly increasing values"
         )
     table = BucketTable(edges=edges)
     groups: dict[tuple[int, str], list[RunRecord]] = {}

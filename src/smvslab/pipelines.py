@@ -64,22 +64,24 @@ def _prepare_frame(frame: PointCloud) -> PointCloud:
     return estimate_covariances(down, k=k, epsilon=GICP.covariance_epsilon)
 
 
-def _align_or_predict(source, index, prediction):
-    """Align with the prediction as seed; fall back to the prediction itself."""
+def _align_or_predict(i, source, index, seed):
+    """Align frame `i` from `seed`; fall back to the seed itself."""
     try:
-        result = gauss_newton_align(source, index, prediction)
-        return result.pose, result.converged, result.iterations, None
+        result = gauss_newton_align(source, index, seed)
+        return result.pose, FrameStatus(i, result.converged, result.iterations, None)
     except SmvslabError as exc:
-        return prediction, False, 0, type(exc).__name__
+        return seed, FrameStatus(i, False, 0, type(exc).__name__)
 
 
-def odometry_run(dataset: FrameDataset):
+def odometry_run(dataset: FrameDataset, init: PoseSE3):
     """KISS-ICP-style odometry against a sliding local map.
 
-    The first frame defines the world origin. Each frame is downsampled,
-    seeded with a constant-velocity prediction and aligned against the
-    voxel-deduplicated union of the last `local_map_window` registered
-    frames. Failed alignments keep the prediction and the run continues.
+    Registration runs in the first frame's coordinates: each frame is
+    downsampled, seeded with a constant-velocity prediction and aligned
+    against the voxel-deduplicated union of the last `local_map_window`
+    registered frames. Failed alignments keep the prediction and the run
+    continues. `init` places the first frame in the world, and the returned
+    poses are world poses.
     """
     if len(dataset) < 1:
         raise ParameterError("dataset must contain at least one frame")
@@ -93,16 +95,13 @@ def odometry_run(dataset: FrameDataset):
     for i, frame in enumerate(dataset.frames):
         source = _prepare_frame(frame)
         if i == 0:
-            pose = PoseSE3.identity()
-            converged, iterations, err = True, 0, None
+            pose, status = PoseSE3.identity(), FrameStatus(0, True, 0, None)
         else:
             prediction = poses[-1].compose(last_delta)
-            pose, converged, iterations, err = _align_or_predict(
-                source, map_index, prediction
-            )
+            pose, status = _align_or_predict(i, source, map_index, prediction)
             last_delta = poses[-1].inverse().compose(pose)
         poses.append(pose)
-        statuses.append(FrameStatus(i, converged, iterations, err))
+        statuses.append(status)
 
         # Local map: voxel-deduplicated union of the registered frames with
         # covariances re-estimated from map-local neighborhoods (per-frame
@@ -113,7 +112,7 @@ def odometry_run(dataset: FrameDataset):
         k = min(GICP.covariance_k, len(merged))
         map_index = LazyCovarianceIndex(merged, k=k, epsilon=GICP.covariance_epsilon)
 
-    return Trajectory(dataset.timestamps, poses), statuses
+    return Trajectory(dataset.timestamps, [init.compose(p) for p in poses]), statuses
 
 
 @functools.lru_cache(maxsize=4)
@@ -144,10 +143,9 @@ def priormap_localize(dataset: FrameDataset, prior_map: PointCloud, init: PoseSE
     seed = init
     for i, frame in enumerate(dataset.frames):
         source = _prepare_frame(frame)
-        pose, converged, iterations, err = _align_or_predict(source, map_index, seed)
-        poses.append(pose)
-        statuses.append(FrameStatus(i, converged, iterations, err))
-        seed = pose
+        seed, status = _align_or_predict(i, source, map_index, seed)
+        poses.append(seed)
+        statuses.append(status)
 
     return Trajectory(dataset.timestamps, poses), statuses
 

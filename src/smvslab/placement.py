@@ -44,8 +44,6 @@ def critical_directions(profile: SmvsProfile, top_m: int) -> tuple[np.ndarray, n
     peak-score region's bin center."""
     if len(profile) < 2:
         raise ParameterError("need a profile with at least 2 frames")
-    if top_m < 2:
-        raise ParameterError("top_m must be >= 2")
     entries = top_frames(profile, top_m)
     origins = np.array([e.pose.translation[:2] for e in entries], dtype=np.float64)
     world = [e.pose.yaw() + bin_center_angle(e.k_center, profile.binning) for e in entries]
@@ -100,6 +98,14 @@ def fit_direction(points) -> tuple[np.ndarray, np.ndarray]:
     return mean, direction
 
 
+def check_placement(top_m: int, standoff: float):
+    """The placement settings' own checks, which need no profile."""
+    if top_m < 2:
+        raise ParameterError("top_m must be >= 2")
+    if not math.isfinite(standoff):
+        raise ParameterError(f"standoff={standoff} must be finite")
+
+
 def optimize_placement(
     profile: SmvsProfile,
     top_m: int = 10,
@@ -113,8 +119,7 @@ def optimize_placement(
     recommended positions sit at the clamped standoff on either side of
     that point, perpendicular to the trajectory.
     """
-    if not math.isfinite(standoff):
-        raise ParameterError(f"standoff={standoff} must be finite")
+    check_placement(top_m, standoff)
     origins, directions = critical_directions(profile, top_m)
     points = intersect_halflines(origins, directions)
     if len(points) == 0:

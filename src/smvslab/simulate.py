@@ -101,8 +101,9 @@ class Patch:
 
 @dataclass(frozen=True)
 class Scene:
+    """Wall patches over the ground plane z = 0."""
+
     patches: tuple[Patch, ...]
-    ground: bool = True
 
 
 @dataclass(frozen=True)
@@ -253,11 +254,8 @@ def raycast_frame(
 
     # A ray (nearly) parallel to a plane gets a t of +-inf or nan, or overflows.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if scene.ground:
-            best = -origin[2] / dirs[:, 2]
-            best[~(np.isfinite(best) & (best > 1e-6))] = np.inf
-        else:
-            best = np.full(len(dirs), np.inf)
+        best = -origin[2] / dirs[:, 2]
+        best[~(np.isfinite(best) & (best > 1e-6))] = np.inf
         for patch in scene.patches:
             t = ((patch.point - origin) @ patch.normal) / (dirs @ patch.normal)
             # Only the rays this patch can still win go on to the in-patch test.

@@ -36,13 +36,12 @@ def raycast_all_rays(scene, pose, sensor, seed=0) -> PointCloud:
         hit &= (alpha >= 0) & (alpha <= 1) & (beta >= 0) & (beta <= 1)
         closer = hit & (t < best)
         best[closer] = t[closer]
-    if scene.ground:
-        dz = dirs[:, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = -origin[2] / dz
-        hit = np.isfinite(t) & (t > 1e-6)
-        closer = hit & (t < best)
-        best[closer] = t[closer]
+    dz = dirs[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -origin[2] / dz
+    hit = np.isfinite(t) & (t > 1e-6)
+    closer = hit & (t < best)
+    best[closer] = t[closer]
 
     returned = best <= sensor.max_range
     ranges = best[returned]

@@ -14,7 +14,7 @@ from smvslab.cli import _attack_spec_from, _sensor_from, _smvs_cfg_from, build_p
 from smvslab.datasets import FrameDataset, load_dataset, save_dataset
 from smvslab.geometry import AzimuthBinning, PointCloud
 from smvslab.metrics import rpe
-from smvslab.placement import optimize_placement
+from smvslab.placement import choose_recommended, optimize_placement
 from smvslab.simulate import SceneSpec, SensorModel, TrajectorySpec
 from smvslab.smvs import SmvsConfig, SmvsProfile, load_profile_csv
 from smvslab.trajectory import Trajectory
@@ -143,7 +143,11 @@ def test_threads_below_one_exit_1_before_any_frame(
     ["--noise-min", "5", "--noise-max", "1"],
     ["--layers", "0"],
     ["--wall-dist", "0"],
-], ids=["window-deg", "spoofer-range", "noise-range", "layers", "wall-dist"])
+    ["--top-m", "1"],
+    ["--standoff", "nan"],
+    ["--attack", "inject", "--wall-dist", "26", "--max-range", "25"],
+], ids=["window-deg", "spoofer-range", "noise-range", "layers", "wall-dist", "top-m",
+        "standoff", "wall-beyond-range"])
 def test_pipeline_bad_attack_flag_exits_1_and_writes_nothing(tmp_path, capsys, flags):
     out = tmp_path / "out"
     argv = ["pipeline", "--out", str(out), "--top-m", "5"] + SHORT_COURSE + FAST_SENSOR
@@ -152,6 +156,9 @@ def test_pipeline_bad_attack_flag_exits_1_and_writes_nothing(tmp_path, capsys, f
     assert os.listdir(out) == []
 
 
+# setuptools' notice that reading `[tool.setuptools]` is beta; the only warning
+# this read raises, and not smvslab's.
+@pytest.mark.filterwarnings(r"ignore:Support for `\[tool\.setuptools\]`.*beta:UserWarning")
 def test_pyproject_reads_the_package_version():
     from setuptools.config.pyprojecttoml import read_configuration
 
@@ -168,7 +175,6 @@ def test_pyproject_reads_the_package_version():
     (["localize", "--dataset", ".", "--map", "000000.xyz", "--init-traj", "empty.txt"], {}),
     (["place", "--profile", "profile.csv"], {}),
     (["report", "--runs", "runs.csv", "--edges", "a,b"], {}),
-    (["report", "--runs", "runs.csv", "--edges", "1"], {}),
     (["report", "--runs", "runs.csv", "--edges", "5,1,-3"], {}),
     (["place", "--profile", "profile4.csv", "--standoff", "nan"], {}),
     (["place", "--profile", "profile4.csv", "--standoff", "inf"], {}),
@@ -186,7 +192,7 @@ def test_pyproject_reads_the_package_version():
     (["attack", "--dataset", "attack", "--window-deg", "0",
       "--spoofer-x", "500", "--spoofer-y", "500"], {}),
 ], ids=["missing-dataset", "missing-trajectory", "missing-config", "bad-seed-env",
-        "empty-init-trajectory", "one-frame-profile", "non-numeric-edges", "one-edge",
+        "empty-init-trajectory", "one-frame-profile", "non-numeric-edges",
         "decreasing-edges", "nan-standoff", "inf-standoff", "nan-length", "nan-rate",
         "negative-length", "no-frame-length", "inf-speed", "nan-max-range", "nan-vfov",
         "nan-hres", "nan-range-noise", "negative-range-noise", "nan-spoofer-x",
@@ -381,6 +387,16 @@ def test_report_command(tmp_path):
     assert len(table) == 5
 
 
+def test_report_one_edge_writes_two_buckets(tmp_path):
+    runs = tmp_path / "runs.csv"
+    runs.write_text("smvs,model,ape_m,ape_deg\n-9000.0,removal_noise,4.0,2.0\n")
+    out = tmp_path / "report"
+    assert run(["report", "--runs", str(runs), "--out", str(out), "--edges", "-5000"]) == 0
+    table = (out / "bucket_table.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in table] == ["bucket", "S < -5000", "-5000 < S"]
+    assert table[1].endswith(",1") and table[2].endswith(",n/a")
+
+
 def test_report_on_runs_file_without_rows(tmp_path):
     # No model, so one field per line, the header included.
     runs = tmp_path / "runs.csv"
@@ -504,3 +520,49 @@ def test_pipeline_places_with_the_profiles_region_count(tmp_path):
     assert center == pytest.approx(
         (float(replaced["center_x"]), float(replaced["center_y"])), abs=1e-9
     )
+
+
+@pytest.mark.parametrize("pipeline", ["odometry", "priormap"])
+def test_stage_commands_replay_the_pipeline(tmp_path, pipeline):
+    # Criterion 8's course and sensor. Each stage command, given what the
+    # pipeline wrote before that stage, writes the pipeline's files byte for
+    # byte. (`smvs` is left out: a pose read back from a file can differ
+    # from the in-memory pose in its last bit.)
+    tree = tmp_path / "run"
+    assert run(
+        ["pipeline", "--out", str(tree), "--seed", "9", "--pipeline", pipeline,
+         "--archetype", "mixed", "--top-m", "5"]
+        + SHORT_COURSE
+        + FAST_SENSOR
+    ) == 0
+
+    def same(out, names, prefix=""):
+        return all(filecmp.cmp(out / n, tree / (prefix + n), shallow=False) for n in names)
+
+    def localize(dataset, run_name):
+        out = tmp_path / run_name
+        argv = ["--dataset", str(tree / dataset), "--out", str(out)]
+        if pipeline == "priormap":
+            argv = ["localize", *argv, "--map", str(tree / "prior_map.xyz")]
+        else:
+            argv = ["odom", *argv]
+        assert run(argv) == 0
+        return same(out, ["trajectory.txt", "frames.csv"], prefix=run_name + "_")
+
+    assert localize("dataset", "benign")
+
+    place = tmp_path / "place"
+    assert run(["place", "--profile", str(tree / "smvs_profile.csv"), "--out", str(place),
+                "--top-m", "5"]) == 0
+    assert same(place, ["placement.txt", "intersections.csv"])
+
+    profile = load_profile_csv(tree / "smvs_profile.csv")
+    x, y = choose_recommended(optimize_placement(profile, top_m=5))
+    attacked = tmp_path / "attacked_dataset"
+    assert run(["attack", "--dataset", str(tree / "dataset"), "--out", str(attacked),
+                "--seed", "9", "--spoofer-x", repr(float(x)), "--spoofer-y", repr(float(y))]
+               + FAST_SENSOR) == 0
+    frames = [f"{i:06d}.xyz" for i in range(20)]
+    assert same(attacked, frames + ["groundtruth.txt"], prefix="attacked_dataset/")
+
+    assert localize("attacked_dataset", "attacked")

@@ -175,11 +175,9 @@ def test_voxel_downsample_equals_the_add_at_sums(problem):
 
 def test_voxel_dedup_keeps_first_point():
     pts = np.array([[0.1, 0.1, 0.1], [0.4, 0.4, 0.4], [3.0, 3.0, 3.0]])
-    covs = np.stack([np.eye(3) * (i + 1) for i in range(3)])
-    out = voxel_dedup(PointCloud(pts, covs), 1.0)
+    out = voxel_dedup(PointCloud(pts), 1.0)
     assert len(out) == 2
     assert np.allclose(out.points[0], pts[0])
-    assert np.allclose(out.covariances[0], covs[0])
 
 
 def test_voxel_size_validation():

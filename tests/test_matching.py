@@ -178,7 +178,7 @@ def test_gauss_newton_final_cost_not_worse_than_initial():
     source = estimate_covariances(PointCloud(init.inverse().apply(target.points)), k=10)
     start = linearize(source, SpatialIndex(target), PoseSE3.identity(), RADIUS).cost
     result = gauss_newton_align(source, SpatialIndex(target), PoseSE3.identity())
-    assert result.final_cost <= start
+    assert linearize(source, SpatialIndex(target), result.pose, RADIUS).cost <= start
 
 
 def test_gauss_newton_empty_inputs():

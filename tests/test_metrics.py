@@ -40,7 +40,7 @@ def test_ape_matches_direct_recomputation():
     assert stats.rmse == pytest.approx(math.sqrt(np.mean(trans**2)), abs=1e-12)
     assert stats.mean == pytest.approx(trans.mean(), abs=1e-12)
     assert stats.max == pytest.approx(trans.max(), abs=1e-12)
-    assert stats.count == len(est)
+    assert stats.std == pytest.approx(trans.std(), abs=1e-12)
 
 
 def test_ape_constant_offset_is_offset_norm():
@@ -53,7 +53,7 @@ def test_ape_constant_offset_is_offset_norm():
     stats = ape(est, ref, align_first_pose=False)
     assert stats.rmse == pytest.approx(5.0, abs=1e-12)
     assert stats.max == pytest.approx(5.0, abs=1e-12)
-    assert stats.rot_max_deg == pytest.approx(0.0, abs=1e-9)
+    assert stats.rot_rmse_deg == pytest.approx(0.0, abs=1e-9)
 
 
 def test_ape_first_pose_alignment_removes_rigid_offset():
@@ -77,16 +77,17 @@ def test_rpe_matches_direct_recomputation():
     ref = random_trajectory(6)
     delta = 3
     stats = rpe(est, ref, delta=delta)
-    trans = []
+    trans, rot = [], []
     for i in range(len(est) - delta):
         rel_est = est.poses[i].inverse().compose(est.poses[i + delta])
         rel_ref = ref.poses[i].inverse().compose(ref.poses[i + delta])
         trans.append(
             np.linalg.norm(rel_ref.inverse().compose(rel_est).translation)
         )
+        rot.append(math.degrees(rel_est.rotation_angle_to(rel_ref)))
     assert stats.mean == pytest.approx(np.mean(trans), abs=1e-12)
     assert stats.max == pytest.approx(np.max(trans), abs=1e-12)
-    assert stats.count == len(trans)
+    assert stats.rot_max_deg == pytest.approx(np.max(rot), abs=1e-12)
 
 
 def test_rpe_constant_offset_is_zero():
@@ -111,7 +112,10 @@ def test_rpe_pairs_poses_by_timestamp():
     assert ape(est, ref).rmse == 0.0
     stats = rpe(est, ref)
     assert stats.max == 0.0
-    assert stats.count == 2
+    # Three associated poses: two one-step pairs, one two-step pair, none of three steps.
+    assert rpe(est, ref, delta=2).max == 0.0
+    with pytest.raises(ParameterError):
+        rpe(est, ref, delta=3)
 
 
 def test_rpe_too_short():
@@ -124,7 +128,7 @@ def test_rpe_too_short():
 
 def test_bucket_index_edges():
     edges = DEFAULT_BUCKET_EDGES
-    # Bucket 0 is everything below edges[1]; the last bucket is open above.
+    # Bucket 0 is everything up to edges[0]; the last bucket is open above.
     assert bucket_index(-20000.0, edges) == 0
     assert bucket_index(-7000.0, edges) == 0
     assert bucket_index(-4000.0, edges) == 1
@@ -154,7 +158,7 @@ def test_bucket_table_csv_has_na_for_empty_cells(tmp_path):
     path = tmp_path / "table.csv"
     table.save_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert len(lines) == 1 + len(DEFAULT_BUCKET_EDGES)
+    assert len(lines) == 1 + len(DEFAULT_BUCKET_EDGES) + 1   # header, n + 1 buckets
     assert "n/a" in lines[3]  # some bucket other than the populated one
 
 
@@ -172,17 +176,17 @@ def test_bucket_report_leaves_unscored_runs_out():
 
 
 @pytest.mark.parametrize("edges", [
-    (), (1.0,), (5.0, 1.0, -3.0), (0.0, 0.0), (0.0, math.nan), (-math.inf, 0.0),
+    (), (5.0, 1.0, -3.0), (0.0, 0.0), (0.0, math.nan), (-math.inf, 0.0),
 ])
 def test_bucket_report_rejects_bad_edges(edges):
-    with pytest.raises(ParameterError, match="at least 2 finite, strictly increasing"):
+    with pytest.raises(ParameterError, match="one or more finite, strictly increasing"):
         bucket_report([], edges)
 
 
 def test_bucket_report_accepts_two_edges():
     runs = [RunRecord(smvs=2.0, model="injection", ape_m=1.0, ape_deg=1.0)]
-    table = bucket_report(runs, (0.0, 1.0))
-    assert [table.bucket_label(b) for b in range(table.num_buckets)] == ["S < 1", "1 < S"]
+    table = bucket_report(runs, (1.0,))
+    assert [table.bucket_label(b) for b in range(2)] == ["S < 1", "1 < S"]
     assert table.cells[(1, "injection")].count == 1
 
 

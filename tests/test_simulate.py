@@ -150,7 +150,7 @@ def test_archetype_scenes_build():
 def test_scene_helpers_patch_counts():
     assert len(canyon_patches(50)) == 2
     assert len(open_corner_patches(0, 20, -10)) == 2
-    assert mixed_course_scene().ground
+    assert len(mixed_course_scene().patches) == 12
 
 
 # ---------------------------------------------------------------- raycasting
@@ -159,7 +159,7 @@ def test_scene_helpers_patch_counts():
 def test_raycast_ground_plane_geometry():
     # Sensor at 1.5 m over an infinite ground plane: every return obeys
     # z_local = -1.5 exactly (noise off).
-    scene = Scene((), ground=True)
+    scene = Scene(())
     pose = PoseSE3.from_rpy(0, 0, 0, (3.0, -2.0, 1.5))
     sensor = SensorModel(
         rings=8, vertical_fov_deg=60.0, horizontal_resolution_deg=10.0, range_noise_sigma=0.0
@@ -173,7 +173,7 @@ def test_raycast_ground_plane_geometry():
 def test_raycast_wall_hit_distance():
     # A wall 10 m ahead: the horizon ray along +x must return exactly 10 m.
     wall = Patch((10.0, -5.0, 0.0), (0.0, 10.0, 0.0), (0.0, 0.0, 5.0))
-    scene = Scene((wall,), ground=False)
+    scene = Scene((wall,))
     pose = PoseSE3.from_rpy(0, 0, 0, (0.0, 0.0, 1.5))
     sensor = SensorModel(rings=1, horizontal_resolution_deg=45.0, range_noise_sigma=0.0)
     cloud = raycast_frame(scene, pose, sensor, seed=0)
@@ -184,7 +184,7 @@ def test_raycast_wall_hit_distance():
 def test_raycast_nearest_surface_wins():
     near = Patch((5.0, -5.0, 0.0), (0.0, 10.0, 0.0), (0.0, 0.0, 5.0))
     far = Patch((20.0, -5.0, 0.0), (0.0, 10.0, 0.0), (0.0, 0.0, 5.0))
-    scene = Scene((near, far), ground=False)
+    scene = Scene((near, far))
     pose = PoseSE3.from_rpy(0, 0, 0, (0.0, 0.0, 1.5))
     sensor = SensorModel(rings=1, horizontal_resolution_deg=45.0, range_noise_sigma=0.0)
     cloud = raycast_frame(scene, pose, sensor, seed=0)
@@ -192,7 +192,7 @@ def test_raycast_nearest_surface_wins():
 
 
 def test_raycast_noise_deterministic():
-    scene = Scene((), ground=True)
+    scene = Scene(())
     pose = PoseSE3.from_rpy(0, 0, 0, (0.0, 0.0, 1.5))
     sensor = SensorModel(rings=4, horizontal_resolution_deg=10.0, range_noise_sigma=0.02)
     a = raycast_frame(scene, pose, sensor, seed=7)
@@ -232,7 +232,7 @@ def raycast_problems(draw):
         patches = draw(st.lists(oblique_patches(), min_size=1, max_size=6))
     else:
         patches = build_scene(SceneSpec(archetype, draw(st.sampled_from([12.0, 100.0])))).patches
-    scene = Scene(tuple(draw(st.permutations(patches))), ground=draw(st.booleans()))
+    scene = Scene(tuple(draw(st.permutations(patches))))
     sensor = SensorModel(
         rings=draw(st.integers(1, 64)),
         vertical_fov_deg=draw(st.floats(1.0, 90.0)),
@@ -327,7 +327,7 @@ def test_generate_dataset_ground_truth_consistent():
 
 
 def test_generate_dataset_deterministic():
-    scene = Scene((), ground=True)
+    scene = Scene(())
     spec = TrajectorySpec(waypoints=((0.0, 0.0), (6.0, 0.0)), speed=6.0, frame_rate=5.0)
     sensor = SensorModel(rings=2, horizontal_resolution_deg=15.0, range_noise_sigma=0.02)
     a = generate_dataset(scene, spec, sensor, seed=5)
