@@ -22,7 +22,7 @@ from .datasets import FrameDataset, load_dataset, save_dataset
 from .errors import ParameterError, SmvslabError
 from .geometry import AzimuthBinning, load_xyz, save_xyz
 from .metrics import DEFAULT_BUCKET_EDGES, RunRecord, ape, bucket_report, rpe
-from .pipelines import build_prior_map, odometry_run, priormap_localize
+from .pipelines import build_prior_map, odometry_run, prepare_frame, prepare_map, priormap_localize
 from .placement import check_placement, choose_recommended, optimize_placement, save_placement
 from .se3 import PoseSE3
 from .simulate import SceneSpec, SensorModel, TrajectorySpec, build_scene, generate_dataset
@@ -275,11 +275,12 @@ def _save_metrics(path, rows: dict):
     write_table(path, "{},{!r}", rows.items(), header="metric,value")
 
 
-def _localize(ds, pipeline, origin, prior):
-    """Run the chosen pipeline over `ds` from the world pose `origin`."""
+def _localize(sources, timestamps, pipeline, origin, map_index):
+    """Run the chosen pipeline over the prepared `sources` from the world pose
+    `origin`."""
     if pipeline == "priormap":
-        return priormap_localize(ds, prior, init=origin)
-    return odometry_run(ds, origin)
+        return priormap_localize(sources, timestamps, map_index, origin)
+    return odometry_run(sources, timestamps, origin)
 
 
 def _start_pose(ds) -> PoseSE3:
@@ -313,7 +314,8 @@ def _cmd_scene(args, seed):
 
 def _cmd_odom(args, seed):
     ds = load_dataset(args.dataset)
-    _save_run(args.out, "", *odometry_run(ds, _start_pose(ds)))
+    sources = [prepare_frame(f) for f in ds.frames]
+    _save_run(args.out, "", *odometry_run(sources, ds.timestamps, _start_pose(ds)))
 
 
 def _cmd_localize(args, seed):
@@ -325,7 +327,9 @@ def _cmd_localize(args, seed):
         if not poses:
             raise SmvslabError(f"{args.init_traj}: no poses")
         init = poses[0]
-    _save_run(args.out, "", *priormap_localize(ds, prior, init=init))
+    map_index = prepare_map(prior)
+    sources = [prepare_frame(f) for f in ds.frames]
+    _save_run(args.out, "", *priormap_localize(sources, ds.timestamps, map_index, init))
 
 
 def _cmd_smvs(args, seed):
@@ -404,11 +408,13 @@ def _cmd_pipeline(args, seed):
 
     gt = ds.ground_truth
     origin = gt.poses[0]
-    prior = None
+    map_index = None
     if args.pipeline == "priormap":
         prior = build_prior_map(ds, gt)
         save_xyz(prior, os.path.join(out, "prior_map.xyz"))
-    benign, statuses = _localize(ds, args.pipeline, origin, prior)
+        map_index = prepare_map(prior)
+    sources = [prepare_frame(f) for f in ds.frames]
+    benign, statuses = _localize(sources, ds.timestamps, args.pipeline, origin, map_index)
     _save_run(out, "benign_", benign, statuses)
 
     profile = trajectory_smvs(ds, benign, cfg)
@@ -418,7 +424,12 @@ def _cmd_pipeline(args, seed):
     attacked = attack_dataset(ds, position, spec, sensor)
     save_dataset(attacked, os.path.join(out, "attacked_dataset"))
 
-    est, statuses = _localize(attacked, args.pipeline, origin, prior)
+    # attack_dataset passes the frames out of the spoofer's range through as
+    # the same objects, so the replaced frames are the attacked segment, and
+    # only they need preparing again.
+    touched = [a is not f for a, f in zip(attacked.frames, ds.frames)]
+    sources = [prepare_frame(a) if t else s for a, t, s in zip(attacked.frames, touched, sources)]
+    est, statuses = _localize(sources, attacked.timestamps, args.pipeline, origin, map_index)
     _save_run(out, "attacked_", est, statuses)
 
     stats = ape(est, gt)
@@ -430,12 +441,8 @@ def _cmd_pipeline(args, seed):
         "rpe_max_m": rel.max,
     })
 
-    # attack_dataset passes the frames out of the spoofer's range through as
-    # the same objects, so the replaced frames are the attacked segment.
     segment_smvs = max(
-        (e.smvs for e in profile.entries
-         if attacked.frames[e.frame_id] is not ds.frames[e.frame_id]),
-        default=float("nan"),
+        (e.smvs for e in profile.entries if touched[e.frame_id]), default=float("nan")
     )
     row = (segment_smvs, spec.model, stats.rmse, stats.rot_rmse_deg)
     header = "smvs,model,ape_m,ape_deg"

@@ -24,7 +24,6 @@ class PointCloud:
     Arrays are copied and frozen at construction; instances are safe to
     share, and equal only to themselves. Callers must never mutate a cloud:
     neither reassign its attributes nor make its arrays writeable again.
-    The pipelines cache work by cloud identity and rely on this.
     """
 
     __slots__ = ("points", "covariances")

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import FrameDataset
-from .errors import ParameterError, SmvslabError
+from .errors import DegenerateLinearizationError, DivergenceError, ParameterError
 from .geometry import (
     LazyCovarianceIndex,
     PointCloud,
@@ -48,15 +47,8 @@ class FrameStatus:
     error: str | None
 
 
-@functools.lru_cache(maxsize=128)
-def _prepare_frame(frame: PointCloud) -> PointCloud:
-    """Downsampled frame with covariances, cached by frame identity.
-
-    A prepared cloud is reused whenever the same cloud comes back: a frame
-    that an attack replay passed through untouched, or a frame that both
-    pipelines localize. This holds only while no caller mutates a
-    PointCloud (see its docstring).
-    """
+def prepare_frame(frame: PointCloud) -> PointCloud:
+    """A frame as both pipelines match it: downsampled, with covariances."""
     down = voxel_downsample(frame, GICP.frame_voxel)
     k = min(GICP.covariance_k, len(down))
     if k < 4:
@@ -64,27 +56,39 @@ def _prepare_frame(frame: PointCloud) -> PointCloud:
     return estimate_covariances(down, k=k, epsilon=GICP.covariance_epsilon)
 
 
+def prepare_map(prior_map: PointCloud) -> SpatialIndex:
+    """A prior map as `priormap_localize` matches against it: downsampled,
+    with covariances, indexed."""
+    if len(prior_map) == 0:
+        raise ParameterError("prior map is empty")
+    map_down = voxel_downsample(prior_map, GICP.map_voxel)
+    k = min(GICP.covariance_k, len(map_down))
+    map_cloud = estimate_covariances(map_down, k=k, epsilon=GICP.covariance_epsilon)
+    return SpatialIndex(map_cloud)
+
+
 def _align_or_predict(i, source, index, seed):
-    """Align frame `i` from `seed`; fall back to the seed itself."""
+    """Align frame `i` from `seed`; where the matcher finds no correspondence
+    or diverges, fall back to the seed itself."""
     try:
         result = gauss_newton_align(source, index, seed)
         return result.pose, FrameStatus(i, result.converged, result.iterations, None)
-    except SmvslabError as exc:
+    except (DegenerateLinearizationError, DivergenceError) as exc:
         return seed, FrameStatus(i, False, 0, type(exc).__name__)
 
 
-def odometry_run(dataset: FrameDataset, init: PoseSE3):
+def odometry_run(sources, timestamps, init: PoseSE3):
     """KISS-ICP-style odometry against a sliding local map.
 
-    Registration runs in the first frame's coordinates: each frame is
-    downsampled, seeded with a constant-velocity prediction and aligned
-    against the voxel-deduplicated union of the last `local_map_window`
-    registered frames. Failed alignments keep the prediction and the run
-    continues. `init` places the first frame in the world, and the returned
-    poses are world poses.
+    `sources` are the frames as `prepare_frame` gives them. Registration
+    runs in the first frame's coordinates: each frame is seeded with a
+    constant-velocity prediction and aligned against the voxel-deduplicated
+    union of the last `local_map_window` registered frames. Failed
+    alignments keep the prediction and the run continues. `init` places the
+    first frame in the world, and the returned poses are world poses.
     """
-    if len(dataset) < 1:
-        raise ParameterError("dataset must contain at least one frame")
+    if not 0 < len(sources) == len(timestamps):
+        raise ParameterError(f"{len(sources)} frames and {len(timestamps)} timestamps")
 
     poses: list[PoseSE3] = []
     statuses: list[FrameStatus] = []
@@ -92,8 +96,7 @@ def odometry_run(dataset: FrameDataset, init: PoseSE3):
     map_index = None
     last_delta = PoseSE3.identity()
 
-    for i, frame in enumerate(dataset.frames):
-        source = _prepare_frame(frame)
+    for i, source in enumerate(sources):
         if i == 0:
             pose, status = PoseSE3.identity(), FrameStatus(0, True, 0, None)
         else:
@@ -112,42 +115,28 @@ def odometry_run(dataset: FrameDataset, init: PoseSE3):
         k = min(GICP.covariance_k, len(merged))
         map_index = LazyCovarianceIndex(merged, k=k, epsilon=GICP.covariance_epsilon)
 
-    return Trajectory(dataset.timestamps, [init.compose(p) for p in poses]), statuses
+    return Trajectory(timestamps, [init.compose(p) for p in poses]), statuses
 
 
-@functools.lru_cache(maxsize=4)
-def _prepare_map(prior_map: PointCloud) -> SpatialIndex:
-    """Downsampled prior map with covariances, indexed; cached by map identity
-    like `_prepare_frame`."""
-    map_down = voxel_downsample(prior_map, GICP.map_voxel)
-    k = min(GICP.covariance_k, len(map_down))
-    map_cloud = estimate_covariances(map_down, k=k, epsilon=GICP.covariance_epsilon)
-    return SpatialIndex(map_cloud)
-
-
-def priormap_localize(dataset: FrameDataset, prior_map: PointCloud, init: PoseSE3):
-    """Localize every frame against a static prior map.
+def priormap_localize(sources, timestamps, map_index: SpatialIndex, init: PoseSE3):
+    """Localize every prepared frame (`prepare_frame`) against a prior map
+    index (`prepare_map`).
 
     Each frame is seeded with the previous frame's estimate (the init for
     the first frame); failures keep the seed and are recorded.
     """
-    if len(dataset) < 1:
-        raise ParameterError("dataset must contain at least one frame")
-    if len(prior_map) == 0:
-        raise ParameterError("prior map is empty")
-
-    map_index = _prepare_map(prior_map)
+    if not 0 < len(sources) == len(timestamps):
+        raise ParameterError(f"{len(sources)} frames and {len(timestamps)} timestamps")
 
     poses: list[PoseSE3] = []
     statuses: list[FrameStatus] = []
     seed = init
-    for i, frame in enumerate(dataset.frames):
-        source = _prepare_frame(frame)
+    for i, source in enumerate(sources):
         seed, status = _align_or_predict(i, source, map_index, seed)
         poses.append(seed)
         statuses.append(status)
 
-    return Trajectory(dataset.timestamps, poses), statuses
+    return Trajectory(timestamps, poses), statuses
 
 
 def build_prior_map(dataset: FrameDataset, trajectory: Trajectory) -> PointCloud:

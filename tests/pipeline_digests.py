@@ -10,9 +10,14 @@ regenerates the table in the same diff, and names the files that moved:
     PYTHONPATH=src python tests/pipeline_digests.py
 
 The table also records the Python, numpy and scipy versions it was made
-with, so that a toolchain change can be told apart from a program change.
+with, and the host's kernels: numpy's OpenBLAS build and core, and numpy's
+enabled CPU features and compiled dispatch targets. The digests hold only
+where the same kernels run, so a failure on another host can be told apart
+from a program change.
 """
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -22,6 +27,7 @@ import tempfile
 
 import numpy as np
 import scipy
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from smvslab.cli import dispatch
 
@@ -48,6 +54,25 @@ TREES = {
 
 def toolchain() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def host() -> dict:
+    """numpy's OpenBLAS configuration (None where numpy ships no
+    scipy-openblas), the CPU features numpy enables here, and the dispatch
+    targets it was built with."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    found = glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))
+    openblas = None
+    if found:
+        get_config = ctypes.CDLL(found[0]).scipy_openblas_get_config64_
+        get_config.argtypes = []
+        get_config.restype = ctypes.c_char_p
+        openblas = get_config().decode()
+    return {
+        "openblas": openblas,
+        "numpy_cpu_features": sorted(name for name, on in __cpu_features__.items() if on),
+        "numpy_cpu_dispatch": list(__cpu_dispatch__),
+    }
 
 
 def tree_digests(out, tree, threads=1) -> dict:
@@ -77,7 +102,7 @@ def main():
         for tree in TREES:
             trees[tree] = tree_digests(os.path.join(tmp, tree), tree)
     with open(TABLE, "w") as fh:
-        json.dump({"toolchain": toolchain(), "trees": trees}, fh, indent=1)
+        json.dump({"toolchain": toolchain(), "host": host(), "trees": trees}, fh, indent=1)
         fh.write("\n")
     print(f"wrote {TABLE}: {sum(map(len, trees.values()))} files", file=sys.stderr)
 

@@ -20,12 +20,20 @@ from smvslab.cli import dispatch
 from smvslab.geometry import AzimuthBinning, PointCloud, SpatialIndex, bin_center_angle
 from smvslab.matching import linearize, matching_cost
 from smvslab.metrics import ape, rpe
-from smvslab.pipelines import GICP, build_prior_map, odometry_run, priormap_localize
+from smvslab.pipelines import (
+    GICP,
+    build_prior_map,
+    odometry_run,
+    prepare_frame,
+    prepare_map,
+    priormap_localize,
+)
 from smvslab.placement import choose_recommended, optimize_placement
 from smvslab.se3 import PoseSE3, left_update
 from smvslab.simulate import SceneSpec, SensorModel, TrajectorySpec, build_scene, generate_dataset
 from smvslab.smvs import SmvsConfig, framewise_smvs, pointwise_smvs, trajectory_smvs
 from smvslab.trajectory import Trajectory
+from sweep_apes import check_sweep
 
 SENSOR = SensorModel(
     rings=16,
@@ -55,15 +63,22 @@ def course():
 
 
 @pytest.fixture(scope="session")
-def prior_map(course):
-    return build_prior_map(course, course.ground_truth)
+def course_sources(course):
+    """The course's frames as the pipelines match them, prepared once."""
+    return [prepare_frame(f) for f in course.frames]
 
 
 @pytest.fixture(scope="session")
-def benign_runs(course, prior_map):
+def map_index(course):
+    """The prior map built from the ground truth, prepared once."""
+    return prepare_map(build_prior_map(course, course.ground_truth))
+
+
+@pytest.fixture(scope="session")
+def benign_runs(course, course_sources, map_index):
     init = course.ground_truth.poses[0]
-    odom_est, _ = odometry_run(course, init)
-    pm_est, _ = priormap_localize(course, prior_map, init=init)
+    odom_est, _ = odometry_run(course_sources, course.timestamps, init)
+    pm_est, _ = priormap_localize(course_sources, course.timestamps, map_index, init)
     return ape(odom_est, course.ground_truth), ape(pm_est, course.ground_truth)
 
 
@@ -84,20 +99,33 @@ def attack_spec(seed):
                       spoofer_range=SPOOFER_RANGE, seed=seed)
 
 
-def attacked_ape_pair(course, prior_map, spoofer, seed):
-    """APE RMSE of both pipelines on one attacked replay."""
+def attacked_sources(course, course_sources, spoofer, seed):
+    """The prepared frames of one attacked replay. The attack passes the
+    frames out of the spoofer's range through as the same objects, so only
+    the frames it replaced are prepared again."""
     attacked = attack_dataset(course, spoofer, attack_spec(seed), SENSOR)
+    return [
+        source if a is f else prepare_frame(a)
+        for a, f, source in zip(attacked.frames, course.frames, course_sources)
+    ]
+
+
+def attacked_ape_pair(course, course_sources, map_index, spoofer, seed):
+    """APE RMSE of both pipelines on one attacked replay."""
+    sources = attacked_sources(course, course_sources, spoofer, seed)
     init = course.ground_truth.poses[0]
-    odom_est, _ = odometry_run(attacked, init)
+    odom_est, _ = odometry_run(sources, course.timestamps, init)
     odom = ape(odom_est, course.ground_truth).rmse
-    pm_est, _ = priormap_localize(attacked, prior_map, init=init)
+    pm_est, _ = priormap_localize(sources, course.timestamps, map_index, init)
     pm = ape(pm_est, course.ground_truth).rmse
     return odom, pm
 
 
-def attacked_priormap_ape(course, prior_map, position, seed):
-    attacked = attack_dataset(course, position, attack_spec(seed), SENSOR)
-    est, _ = priormap_localize(attacked, prior_map, init=course.ground_truth.poses[0])
+def attacked_priormap_ape(course, course_sources, map_index, position, seed):
+    sources = attacked_sources(course, course_sources, position, seed)
+    est, _ = priormap_localize(
+        sources, course.timestamps, map_index, course.ground_truth.poses[0]
+    )
     return ape(est, course.ground_truth).rmse
 
 
@@ -293,7 +321,7 @@ def test_criterion_3_framewise_closed_forms(capsys):
 
 @pytest.mark.slow
 def test_criterion_4_smvs_error_rank_separation(
-    capsys, course, prior_map, smvs_profile
+    capsys, record_property, course, course_sources, map_index, smvs_profile
 ):
     start = time.monotonic()
     values = smvs_profile.values()
@@ -305,7 +333,7 @@ def test_criterion_4_smvs_error_rank_separation(
     results = {"hi": {"odom": [], "pm": []}, "lo": {"odom": [], "pm": []}}
     for name, spoofer in (("hi", spoofer_hi), ("lo", spoofer_lo)):
         for seed in range(10):
-            odom, pm = attacked_ape_pair(course, prior_map, spoofer, seed)
+            odom, pm = attacked_ape_pair(course, course_sources, map_index, spoofer, seed)
             results[name]["odom"].append(odom)
             results[name]["pm"].append(pm)
 
@@ -322,27 +350,41 @@ def test_criterion_4_smvs_error_rank_separation(
     assert ratio_odom >= 5.0
     assert ratio_pm >= 5.0
     assert elapsed < 600.0
+    check_sweep(record_property, "criterion_4", {
+        f"{name}/seed{seed}/{pipeline}": results[name][short][seed]
+        for name in results
+        for short, pipeline in (("odom", "odometry"), ("pm", "priormap"))
+        for seed in range(10)
+    })
 
 
 # ------------------------------------------------------------ criterion 5
 
 
 @pytest.mark.slow
-def test_criterion_5_placement_superiority(capsys, course, prior_map, smvs_profile):
+def test_criterion_5_placement_superiority(
+    capsys, record_property, course, course_sources, map_index, smvs_profile
+):
     start = time.monotonic()
     seeds = (0, 1, 2)
     placement = optimize_placement(smvs_profile, top_m=10, standoff=12.5)
     optimized = choose_recommended(placement)
     opt_apes = [
-        attacked_priormap_ape(course, prior_map, optimized, seed) for seed in seeds
+        attacked_priormap_ape(course, course_sources, map_index, optimized, seed)
+        for seed in seeds
     ]
+    replays = {f"optimized/seed{seed}/priormap": a for seed, a in zip(seeds, opt_apes)}
 
     rng = np.random.default_rng(2024)
     random_medians = []
-    for _ in range(20):
+    for r in range(20):
         pos = (rng.uniform(-10.0, 44.0), rng.uniform(-14.0, 14.0))
-        apes = [attacked_priormap_ape(course, prior_map, pos, seed) for seed in seeds]
+        apes = [
+            attacked_priormap_ape(course, course_sources, map_index, pos, seed)
+            for seed in seeds
+        ]
         random_medians.append(float(np.median(apes)))
+        replays.update((f"random{r:02d}/seed{seed}/priormap", a) for seed, a in zip(seeds, apes))
 
     opt_median = float(np.median(opt_apes))
     rand_median = float(np.median(random_medians))
@@ -357,6 +399,7 @@ def test_criterion_5_placement_superiority(capsys, course, prior_map, smvs_profi
     )
     assert ratio >= 3.0
     assert elapsed < 900.0
+    check_sweep(record_property, "criterion_5", replays)
 
 
 # ------------------------------------------------------------ criterion 6

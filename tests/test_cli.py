@@ -9,11 +9,12 @@ import pytest
 
 import smvslab
 from manifests import read_manifest
-from smvslab.attacks import AttackSpec
+from smvslab.attacks import AttackSpec, attack_dataset
 from smvslab.cli import _attack_spec_from, _sensor_from, _smvs_cfg_from, build_parser, dispatch
 from smvslab.datasets import FrameDataset, load_dataset, save_dataset
 from smvslab.geometry import AzimuthBinning, PointCloud
 from smvslab.metrics import rpe
+from smvslab.pipelines import prepare_frame
 from smvslab.placement import choose_recommended, optimize_placement
 from smvslab.simulate import SceneSpec, SensorModel, TrajectorySpec
 from smvslab.smvs import SmvsConfig, SmvsProfile, load_profile_csv
@@ -491,6 +492,38 @@ def test_pipeline_writes_full_tree(tmp_path, pipeline):
     assert [m.split(",")[0] for m in metrics] == [
         "metric", "ape_rmse_m", "ape_max_m", "ape_rot_rmse_deg", "rpe_max_m",
     ]
+
+
+@pytest.mark.slow
+def test_pipeline_prepares_each_frame_once_and_the_attacked_again(tmp_path, monkeypatch):
+    # A course of more than 128 frames, with a spoofer in range of about
+    # half of them: the benign run's prepared frames serve the attacked run
+    # wherever the attack left the frame as it was.
+    prepared = []
+    replays = []
+
+    def counting_prepare_frame(frame):
+        prepared.append(frame)
+        return prepare_frame(frame)
+
+    def recording_attack_dataset(ds, *rest):
+        attacked = attack_dataset(ds, *rest)
+        replays.append((ds, attacked))
+        return attacked
+
+    monkeypatch.setattr("smvslab.cli.prepare_frame", counting_prepare_frame)
+    monkeypatch.setattr("smvslab.cli.attack_dataset", recording_attack_dataset)
+    out = tmp_path / "run"
+    assert run(
+        ["pipeline", "--out", str(out), "--seed", "0", "--archetype", "mixed",
+         "--length", "14", "--speed", "1", "--rings", "8", "--hres", "2",
+         "--spoofer-range", "13"]
+    ) == 0
+    (ds, attacked), = replays
+    touched = sum(a is not f for a, f in zip(attacked.frames, ds.frames))
+    assert len(ds) > 128
+    assert 0 < touched < len(ds)
+    assert len(prepared) == len(ds) + touched
 
 
 def test_pipeline_places_with_the_profiles_region_count(tmp_path):

@@ -8,7 +8,7 @@ regenerates the table, in the diff of a change that means to move bits.
 
 import pytest
 
-from pipeline_digests import load_table, toolchain, tree_digests
+from pipeline_digests import host, load_table, toolchain, tree_digests
 
 
 def _check_tree(out, tree, threads):
@@ -24,7 +24,8 @@ def _check_tree(out, tree, threads):
         pytest.fail(
             f"{len(differ)} of {len(expected)} files differ from pipeline_digests.json "
             f"({tree}, --threads {threads}):\n  " + "\n  ".join(differ)
-            + f"\ntable made with {table['toolchain']}\nthis run with {toolchain()}"
+            + f"\ntable made with {table['toolchain']}\n  on {table['host']}"
+            + f"\nthis run with {toolchain()}\n  on {host()}"
         )
 
 

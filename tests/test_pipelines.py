@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from smvslab.datasets import FrameDataset
 from smvslab.errors import ParameterError
 from smvslab.geometry import PointCloud
 from smvslab.metrics import ape
@@ -10,6 +9,8 @@ from smvslab.pipelines import (
     PipelineConfig,
     build_prior_map,
     odometry_run,
+    prepare_frame,
+    prepare_map,
     priormap_localize,
 )
 from smvslab.se3 import PoseSE3
@@ -35,9 +36,19 @@ def short_course():
     return generate_dataset(scene, spec, sensor, seed=11)
 
 
-def test_odometry_tracks_short_course(short_course):
+@pytest.fixture(scope="module")
+def short_sources(short_course):
+    return [prepare_frame(f) for f in short_course.frames]
+
+
+@pytest.fixture(scope="module")
+def short_map_index(short_course):
+    return prepare_map(build_prior_map(short_course, short_course.ground_truth))
+
+
+def test_odometry_tracks_short_course(short_course, short_sources):
     init = short_course.ground_truth.poses[0]
-    est, statuses = odometry_run(short_course, init)
+    est, statuses = odometry_run(short_sources, short_course.timestamps, init)
     assert len(est) == len(short_course)
     # The first frame sits at the init.
     assert np.allclose(est.poses[0].translation, init.translation)
@@ -46,46 +57,71 @@ def test_odometry_tracks_short_course(short_course):
     assert all(s.error is None for s in statuses)
 
 
-def test_odometry_statuses_cover_all_frames(short_course):
-    _, statuses = odometry_run(short_course, short_course.ground_truth.poses[0])
+def test_odometry_statuses_cover_all_frames(short_course, short_sources):
+    _, statuses = odometry_run(
+        short_sources, short_course.timestamps, short_course.ground_truth.poses[0]
+    )
     assert [s.frame_id for s in statuses] == list(range(len(short_course)))
 
 
-def test_priormap_tracks_short_course(short_course):
-    prior = build_prior_map(short_course, short_course.ground_truth)
+def test_priormap_tracks_short_course(short_course, short_sources, short_map_index):
     init = short_course.ground_truth.poses[0]
-    est, statuses = priormap_localize(short_course, prior, init=init)
+    est, statuses = priormap_localize(
+        short_sources, short_course.timestamps, short_map_index, init
+    )
     stats = ape(est, short_course.ground_truth)
     assert stats.rmse < 0.1
     assert all(s.converged for s in statuses)
 
 
-def test_priormap_locks_on_from_identity_init(short_course):
-    prior = build_prior_map(short_course, short_course.ground_truth)
-    est, _ = priormap_localize(short_course, prior, init=PoseSE3.identity())
+def test_priormap_locks_on_from_identity_init(short_course, short_sources, short_map_index):
+    est, _ = priormap_localize(
+        short_sources, short_course.timestamps, short_map_index, PoseSE3.identity()
+    )
     # Identity init coincides with the ground-truth start except for height,
     # so localization still locks on.
     assert np.isfinite([p.translation for p in est.poses]).all()
 
 
-def test_empty_dataset_rejected():
-    empty = FrameDataset([], [])
+def test_empty_dataset_rejected(short_map_index):
     with pytest.raises(ParameterError):
-        odometry_run(empty, PoseSE3.identity())
+        odometry_run([], [], PoseSE3.identity())
     with pytest.raises(ParameterError):
-        priormap_localize(empty, PointCloud([[0.0, 0.0, 0.0]]), init=PoseSE3.identity())
+        priormap_localize([], [], short_map_index, PoseSE3.identity())
 
 
-def test_empty_prior_map_rejected(short_course):
+def test_timestamp_count_mismatch_rejected(short_course, short_sources, short_map_index):
+    # Checked before the first frame is aligned, not when the poses are
+    # paired with the timestamps at the end.
+    ts = short_course.timestamps[:-1]
+    init = short_course.ground_truth.poses[0]
+    with pytest.raises(ParameterError, match="frames and"):
+        odometry_run(short_sources, ts, init)
+    with pytest.raises(ParameterError, match="frames and"):
+        priormap_localize(short_sources, ts, short_map_index, init)
+
+
+def test_empty_prior_map_rejected():
     with pytest.raises(ParameterError):
-        priormap_localize(short_course, PointCloud(np.empty((0, 3))), init=PoseSE3.identity())
+        prepare_map(PointCloud(np.empty((0, 3))))
 
 
 def test_sparse_frame_rejected():
     tiny = PointCloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    ds = FrameDataset([tiny], [0.0])
     with pytest.raises(ParameterError):
-        odometry_run(ds, PoseSE3.identity())
+        prepare_frame(tiny)
+
+
+def test_unprepared_sources_raise(short_course, short_map_index):
+    # A caller error is not a failed alignment: a frame without covariances
+    # raises instead of leaving a prediction behind.
+    raw = short_course.frames[:3]
+    ts = short_course.timestamps[:3]
+    init = short_course.ground_truth.poses[0]
+    with pytest.raises(ParameterError, match="covariances"):
+        odometry_run(raw, ts, init)
+    with pytest.raises(ParameterError, match="covariances"):
+        priormap_localize(raw, ts, short_map_index, init)
 
 
 def test_build_prior_map_length_mismatch(short_course):
@@ -101,8 +137,8 @@ def test_failed_alignment_falls_back_to_prediction():
     rng = np.random.default_rng(0)
     base = rng.uniform(-5, 5, size=(300, 3))
     far = base + 500.0
-    ds = FrameDataset([PointCloud(base), PointCloud(far), PointCloud(far)], [0.0, 0.1, 0.2])
-    est, statuses = odometry_run(ds, PoseSE3.identity())
+    sources = [prepare_frame(PointCloud(p)) for p in (base, far, far)]
+    est, statuses = odometry_run(sources, [0.0, 0.1, 0.2], PoseSE3.identity())
     assert not statuses[1].converged
     assert statuses[1].error is not None
     assert len(est) == 3
@@ -124,25 +160,23 @@ def test_pipeline_config_defaults():
     assert cfg.matcher.max_corr_dist == 2.0
 
 
-def test_cached_preparation_matches_fresh(short_course):
-    # Prepared frames and prior maps are cached by cloud identity; a run
-    # that reuses them gives exactly what a run on never-seen copies gives.
-    prior = build_prior_map(short_course, short_course.ground_truth)
+def test_reused_preparation_matches_fresh(short_course, short_sources, short_map_index):
+    # Prepared frames and map indexes are plain values: runs that share them
+    # give exactly what runs on freshly prepared copies give.
     init = short_course.ground_truth.poses[0]
+    ts = short_course.timestamps
 
-    def runs(course, prior_map):
-        return odometry_run(course, init), priormap_localize(course, prior_map, init=init)
+    def runs(sources, map_index):
+        return (
+            odometry_run(sources, ts, init),
+            priormap_localize(sources, ts, map_index, init),
+        )
 
-    # Copies have identities no cache has seen, so the first run misses.
-    copies = FrameDataset(
-        [PointCloud(f.points) for f in short_course.frames],
-        short_course.timestamps,
-        short_course.ground_truth,
-    )
-    prior_copy = PointCloud(prior.points)
-    fresh = runs(copies, prior_copy)
-    cached = runs(copies, prior_copy)
-    for (est_a, st_a), (est_b, st_b) in zip(fresh, cached):
+    reused = runs(short_sources, short_map_index)
+    copies = [prepare_frame(PointCloud(f.points)) for f in short_course.frames]
+    prior_copy = build_prior_map(short_course, short_course.ground_truth)
+    fresh = runs(copies, prepare_map(PointCloud(prior_copy.points)))
+    for (est_a, st_a), (est_b, st_b) in zip(reused, fresh):
         for a, b in zip(est_a.poses, est_b.poses):
             assert np.array_equal(a.quat, b.quat)
             assert np.array_equal(a.translation, b.translation)
