@@ -7,6 +7,8 @@ lengths in meters. Azimuth is the full-quadrant atan2(y, x) in (-pi, pi].
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +70,26 @@ class AzimuthBinning:
         return TWO_PI / self.n
 
 
-# Query size (points times neighbors) from which scipy's two worker threads
-# pay for starting; smaller batches run on one thread.
-THREADED_QUERY_SIZE = 10_000
+# Batch size (points) from which a query is split in two halves, one for the
+# calling thread and one for a helper thread. On 2 cores a split broke even
+# at about 1500 points for k=1 against the 24.5k-point map and at about 450
+# for k=20 self-queries (sweep in BENCH_27.json); k=1 queries are the more
+# frequent, so they set the size.
+SPLIT_QUERY_SIZE = 1500
+
+
+def _start_helpers():
+    """A fresh pool of one helper per CPU but the caller's, so that callers
+    on several threads split at once; its threads start on the first split.
+    A forked child gets its own: the parent's threads do not exist there,
+    so work sent to them would never start."""
+    global _helpers
+    helpers = len(os.sched_getaffinity(0)) - 1
+    _helpers = ThreadPoolExecutor(helpers) if helpers else None
+
+
+_start_helpers()
+os.register_at_fork(after_in_child=_start_helpers)
 
 
 class SpatialIndex:
@@ -79,14 +98,14 @@ class SpatialIndex:
 
     The tree splits at sliding midpoints (`balanced_tree=False`), which
     builds faster than median splits and answers scan-matching queries
-    faster. A query runs on one thread unless len(points) * k reaches
-    `THREADED_QUERY_SIZE`, because scipy starts and joins its threads on
-    every call. On 2 cores, threads broke even at about 500 points for k=20
-    (size 10 000) and at 2000-4000 points for k=1 against a 24.5k-point
-    map, and cost up to 6x on smaller batches (sweep in BENCH_16.json).
-    Neither choice changes a point's neighbors, except that the split rule
-    may pick the other of two neighbors whose squared distances round to
-    the same float.
+    faster. A batch of `SPLIT_QUERY_SIZE` points or more is split in two
+    halves: the calling thread queries the first and a persistent helper
+    thread the second, each with a serial scipy query that releases the GIL.
+    (scipy's own `workers` start new threads on every call, which costs more
+    than a frame's k=1 query saves.) A point's neighbors do not depend on
+    the batch it is queried in, so splitting keeps every bit.
+    Compared with a balanced tree, the sliding-midpoint one may pick the
+    other of two neighbors whose squared distances round to the same float.
     """
 
     __slots__ = ("cloud", "_tree")
@@ -116,8 +135,17 @@ class SpatialIndex:
         # The tree keeps only neighbors strictly inside its bound, compared
         # in squared distance; the margin keeps every one within max_distance.
         bound = max_distance * (1.0 + 1e-9)
-        workers = -1 if len(pts) * kk >= THREADED_QUERY_SIZE else 1
-        d, i = self._tree.query(pts, k=kk, workers=workers, distance_upper_bound=bound)
+        if _helpers is None or len(pts) < SPLIT_QUERY_SIZE:
+            d, i = self._tree.query(pts, kk, distance_upper_bound=bound)
+        else:
+            first, second = np.array_split(pts, 2)
+            job = _helpers.submit(self._tree.query, second, kk, distance_upper_bound=bound)
+            d, i = self._tree.query(first, kk, distance_upper_bound=bound)
+            # A half no helper has started yet (other callers' halves may be
+            # ahead of it) is taken back rather than waited for.
+            d2, i2 = (self._tree.query(second, kk, distance_upper_bound=bound) if job.cancel()
+                      else job.result())
+            d, i = np.concatenate([d, d2]), np.concatenate([i, i2])
         if kk == 1:
             d = d.reshape(-1, 1)
             i = i.reshape(-1, 1)

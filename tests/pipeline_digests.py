@@ -13,15 +13,23 @@ The table also records the Python, numpy and scipy versions it was made
 with, and the host's kernels: numpy's OpenBLAS build and core, and numpy's
 enabled CPU features and compiled dispatch targets. The digests hold only
 where the same kernels run, so a failure on another host can be told apart
-from a program change.
+from a program change. To see how far they hold under other kernels, run
+
+    PYTHONPATH=src python tests/pipeline_digests.py --emulate
+
+It rebuilds the two 12 m trees in subprocesses under each setting of
+`EMULATED` this CPU can run, and prints how many files differ from the
+table; a report, not a check.
 """
 
+import argparse
 import ctypes
 import glob
 import hashlib
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 
@@ -50,6 +58,21 @@ TREES = {
     "odometry": ["--pipeline", "odometry"] + COURSE,
     "odometry-48m": ["--pipeline", "odometry", "--seed", "9"],
 }
+# `--emulate`'s kernel settings: label -> (environment, the CPU features, as
+# numpy names them, that the forced kernels need). Forcing a kernel the CPU
+# cannot run is not safe, so a setting whose features are missing is skipped.
+NUMPY_AVX2 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+EMULATED = {
+    "as found": ({}, ()),
+    "OpenBLAS SkylakeX": ({"OPENBLAS_CORETYPE": "SkylakeX"}, ("AVX512_SKX",)),
+    "OpenBLAS Haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, ("AVX2", "FMA3")),
+    "OpenBLAS Sandybridge": ({"OPENBLAS_CORETYPE": "Sandybridge"}, ("AVX",)),
+    "numpy AVX2 loops": (NUMPY_AVX2, ("X86_V3",)),
+    "OpenBLAS Haswell, numpy AVX2 loops": (
+        {"OPENBLAS_CORETYPE": "Haswell", **NUMPY_AVX2}, ("AVX2", "FMA3", "X86_V3")
+    ),
+}
+EMULATED_TREES = ("priormap", "odometry")
 
 
 def toolchain() -> dict:
@@ -96,7 +119,49 @@ def load_table() -> dict:
         return json.load(fh)
 
 
+def count_differing(expected: dict, got: dict) -> int:
+    return sum(expected.get(name) != got.get(name) for name in expected.keys() | got.keys())
+
+
+def emulate():
+    """For each setting of `EMULATED`, print how many files of each 12 m
+    tree differ from the table, with the kernels the subprocess ran."""
+    table = load_table()["trees"]
+    for label, (env, needs) in EMULATED.items():
+        missing = [name for name in needs if not __cpu_features__.get(name)]
+        if missing:
+            print(f"{label}: skipped, this CPU lacks {', '.join(missing)}", flush=True)
+            continue
+        counts = []
+        for tree in EMULATED_TREES:
+            run = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--tree", tree],
+                env={**os.environ, **env}, capture_output=True, text=True, check=True,
+            )
+            child = json.loads(run.stdout.splitlines()[-1])
+            counts.append(f"{tree} {count_differing(table[tree], child['digests'])} "
+                          f"of {len(table[tree])} files differ")
+        kernels = child["host"]
+        avx512 = "on" if "X86_V4" in kernels["numpy_cpu_features"] else "off"
+        print(f"{label}: {'; '.join(counts)} "
+              f"[{kernels['openblas']}; numpy AVX-512 loops {avx512}]", flush=True)
+
+
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--emulate", action="store_true",
+                        help="report how many files differ under other CPU kernels")
+    parser.add_argument("--tree", choices=sorted(TREES),
+                        help="print one tree's digests and kernels as JSON (--emulate's subprocess)")
+    args = parser.parse_args()
+    if args.emulate:
+        emulate()
+        return
+    if args.tree:
+        with tempfile.TemporaryDirectory() as tmp:
+            digests = tree_digests(os.path.join(tmp, args.tree), args.tree)
+        print(json.dumps({"host": host(), "digests": digests}))
+        return
     trees = {}
     with tempfile.TemporaryDirectory() as tmp:
         for tree in TREES:

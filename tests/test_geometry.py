@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -65,34 +69,122 @@ def test_empty_cloud_cannot_be_indexed():
         SpatialIndex(PointCloud(np.empty((0, 3))))
 
 
-class WorkersSeen:
-    """kd-tree proxy that records the `workers` of every query."""
+class ChunksSeen:
+    """kd-tree proxy that records the length of every chunk it is asked
+    to query, and the thread that asked."""
 
     def __init__(self, tree):
-        self.tree, self.workers = tree, []
+        self.tree, self.chunks = tree, []
 
-    def query(self, *args, workers, **kwargs):
-        self.workers.append(workers)
-        return self.tree.query(*args, workers=workers, **kwargs)
+    def query(self, points, *args, **kwargs):
+        self.chunks.append((len(points), threading.get_ident()))
+        return self.tree.query(points, *args, **kwargs)
 
 
 @pytest.mark.parametrize("k, max_distance", [(1, 0.4), (20, np.inf)])
 def test_query_in_one_batch_equals_query_in_chunks(k, max_distance):
-    # The batch runs threaded and the chunks serially; a point's neighbors
-    # do not depend on either.
+    # The batch is split in two halves, one for a helper thread, and the
+    # chunks run on the calling thread alone; a point's neighbors do not
+    # depend on either.
     rng = np.random.default_rng(16)
     index = SpatialIndex(PointCloud(rng.uniform(-10.0, 10.0, (4000, 3))))
-    points = rng.uniform(-11.0, 11.0, (2 * geometry.THREADED_QUERY_SIZE // k, 3))
-    seen = index._tree = WorkersSeen(index._tree)
+    points = rng.uniform(-11.0, 11.0, (2 * geometry.SPLIT_QUERY_SIZE + 1, 3))
+    seen = index._tree = ChunksSeen(index._tree)
     d, i = index.query(points, k=k, max_distance=max_distance)
-    chunk = geometry.THREADED_QUERY_SIZE // (4 * k)
+    split = seen.chunks
+    seen.chunks = []
+    chunk = geometry.SPLIT_QUERY_SIZE // 4
     parts = [index.query(points[s:s + chunk], k=k, max_distance=max_distance)
              for s in range(0, len(points), chunk)]
-    assert seen.workers[0] == -1 and set(seen.workers[1:]) == {1}
+    halves = np.array_split(points, 2 if geometry._helpers else 1)
+    assert sorted(n for n, _ in split) == sorted(len(h) for h in halves)
+    assert [n for n, _ in seen.chunks] == [len(points[s:s + chunk]) for s in range(0, len(points), chunk)]
+    assert {t for _, t in seen.chunks} == {threading.get_ident()}
     assert np.array_equal(d, np.concatenate([p[0] for p in parts]))
     assert np.array_equal(i, np.concatenate([p[1] for p in parts]))
     if max_distance < np.inf:
         assert np.isinf(d).any() and np.isfinite(d).any()
+
+
+QUERY_BATCH_SIZES = [1, 2, 3, geometry.SPLIT_QUERY_SIZE - 1, geometry.SPLIT_QUERY_SIZE,
+                     geometry.SPLIT_QUERY_SIZE + 1, 2 * geometry.SPLIT_QUERY_SIZE + 1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.sampled_from(QUERY_BATCH_SIZES), st.integers(1, 3 * geometry.SPLIT_QUERY_SIZE)),
+    st.sampled_from([(1, 0.5), (1, np.inf), (20, np.inf)]),
+    st.sampled_from(["normal", "small", "grid"]),
+)
+def test_split_query_equals_one_serial_query(seed, batch, k_and_bound, cloud):
+    # Batches on both sides of the split size, odd lengths, clouds smaller
+    # than k (k is clamped) and integer grids, whose exact distance ties the
+    # split must resolve as one serial query of the same tree does.
+    k, max_distance = k_and_bound
+    rng = np.random.default_rng(seed)
+    if cloud == "grid":
+        pts = rng.integers(-6, 7, (int(rng.integers(1, 3000)), 3)).astype(float)
+        queries = rng.integers(-7, 8, (batch, 3)) * 0.5
+    else:
+        size = int(rng.integers(1, 20)) if cloud == "small" else int(rng.integers(20, 3000))
+        pts = rng.normal(size=(size, 3)) * rng.uniform(0.1, 10.0, 3)
+        queries = rng.normal(size=(batch, 3)) * 5.0
+    d, i = SpatialIndex(PointCloud(pts)).query(queries, k=k, max_distance=max_distance)
+    kk = min(k, len(pts))
+    tree = cKDTree(pts, balanced_tree=False)
+    d_ref, i_ref = tree.query(queries, k=kk, distance_upper_bound=max_distance * (1.0 + 1e-9))
+    assert d.shape == i.shape == (batch, kk)
+    assert np.array_equal(d, d_ref.reshape(batch, kk))
+    assert np.array_equal(i, i_ref.reshape(batch, kk))
+
+
+def test_callers_on_more_threads_than_cores_share_the_helpers():
+    # Each caller splits its own batches; a half that a busy helper has not
+    # started is taken back, and every answer is the serial one.
+    rng = np.random.default_rng(5)
+    index = SpatialIndex(PointCloud(rng.normal(size=(3000, 3))))
+    batches = [rng.normal(size=(geometry.SPLIT_QUERY_SIZE + j, 3)) for j in range(40)]
+    tree = cKDTree(index.cloud.points, balanced_tree=False)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as callers:
+            got = list(callers.map(lambda b: index.query(b, k=4), batches, timeout=60.0))
+    finally:
+        sys.setswitchinterval(switch)
+    for batch, (d, i) in zip(batches, got):
+        d_ref, i_ref = tree.query(batch, k=4)
+        assert np.array_equal(d, d_ref) and np.array_equal(i, i_ref)
+
+
+def _split_query_threads(conn):
+    """Run in a forked child: a split query, and the threads it ran on. The
+    batch is large enough that a live helper starts on its chunk before the
+    calling thread is done with its own and takes the chunk back."""
+    index = SpatialIndex(PointCloud(np.random.default_rng(1).normal(size=(500, 3))))
+    seen = index._tree = ChunksSeen(index._tree)
+    index.query(np.random.default_rng(3).normal(size=(100_000, 3)), k=3)
+    conn.send(len({t for _, t in seen.chunks}))
+
+
+def test_a_forked_child_splits_queries_on_its_own_helpers():
+    # Queries in the parent start the helper threads; a forked child has
+    # none of them, and must not wait for one.
+    index = SpatialIndex(PointCloud(np.random.default_rng(2).normal(size=(500, 3))))
+    index.query(np.zeros((2 * geometry.SPLIT_QUERY_SIZE, 3)), k=3)
+    fork = multiprocessing.get_context("fork")
+    receive, send = fork.Pipe(duplex=False)
+    child = fork.Process(target=_split_query_threads, args=(send,))
+    child.start()
+    finished = receive.poll(60.0)
+    child.join(5.0)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert finished and child.exitcode == 0
+    threads = receive.recv()
+    assert threads == (2 if geometry._helpers else 1)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

@@ -8,6 +8,7 @@ regenerates the table, in the diff of a change that means to move bits.
 
 import pytest
 
+import pipeline_digests
 from pipeline_digests import host, load_table, toolchain, tree_digests
 
 
@@ -41,3 +42,9 @@ def test_default_48m_odometry_tree_matches_the_table(tmp_path):
     """The CLI's default 48 m course: 80 raycast frames and a placement
     from 28 kept half-line intersections."""
     _check_tree(tmp_path / "out", "odometry-48m", 1)
+
+
+def test_emulate_skips_a_setting_this_cpu_cannot_run(monkeypatch, capsys):
+    monkeypatch.setattr(pipeline_digests, "EMULATED", {"imagined": ({}, ("NO_SUCH_FEATURE",))})
+    pipeline_digests.emulate()
+    assert capsys.readouterr().out == "imagined: skipped, this CPU lacks NO_SUCH_FEATURE\n"
