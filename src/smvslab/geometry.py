@@ -70,26 +70,36 @@ class AzimuthBinning:
         return TWO_PI / self.n
 
 
-# Batch size (points) from which a query is split in two halves, one for the
-# calling thread and one for a helper thread. On 2 cores a split broke even
-# at about 1500 points for k=1 against the 24.5k-point map and at about 450
-# for k=20 self-queries (sweep in BENCH_27.json); k=1 queries are the more
-# frequent, so they set the size.
-SPLIT_QUERY_SIZE = 1500
+# Query size, in points times (k + 7), from which a batch is split into parts
+# queried at once: one on the calling thread, the others on helper threads.
+# A point's serial query costs about k + 7 units on the trees smvslab
+# queries (1.14 us per point for k=1 against the 24.5k-point map, 3.5-4.2 us
+# for k=20 self-queries of frames). On 2 cores two halves broke even at about
+# 1500 points for k=1 and 450 for k=20, both near this size (sweep in
+# BENCH_27.json). More cores get more parts, each at least half this size.
+SPLIT_QUERY_SIZE = 12_000
 
 
 def _start_helpers():
-    """A fresh pool of one helper per CPU but the caller's, so that callers
-    on several threads split at once; its threads start on the first split.
-    A forked child gets its own: the parent's threads do not exist there,
-    so work sent to them would never start."""
-    global _helpers
-    helpers = len(os.sched_getaffinity(0)) - 1
-    _helpers = ThreadPoolExecutor(helpers) if helpers else None
+    """A fresh pool of one helper per CPU but the caller's; its threads
+    start on the first split. A forked child gets its own: the parent's
+    threads do not exist there, so work sent to them would never start."""
+    global _cpus, _helpers
+    if hasattr(os, "sched_getaffinity"):
+        _cpus = len(os.sched_getaffinity(0))
+    else:
+        _cpus = os.cpu_count() or 1
+    _helpers = ThreadPoolExecutor(_cpus - 1) if _cpus > 1 else None
 
 
 _start_helpers()
-os.register_at_fork(after_in_child=_start_helpers)
+if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
+    os.register_at_fork(after_in_child=_start_helpers)
+
+
+def _query_parts(n, k):
+    """How many parts `SpatialIndex.query` splits n points at k neighbors into."""
+    return max(1, min(_cpus, 2 * n * (k + 7) // SPLIT_QUERY_SIZE))
 
 
 class SpatialIndex:
@@ -98,12 +108,13 @@ class SpatialIndex:
 
     The tree splits at sliding midpoints (`balanced_tree=False`), which
     builds faster than median splits and answers scan-matching queries
-    faster. A batch of `SPLIT_QUERY_SIZE` points or more is split in two
-    halves: the calling thread queries the first and a persistent helper
-    thread the second, each with a serial scipy query that releases the GIL.
-    (scipy's own `workers` start new threads on every call, which costs more
-    than a frame's k=1 query saves.) A point's neighbors do not depend on
-    the batch it is queried in, so splitting keeps every bit.
+    faster. A batch whose len(points) * (k + 7) reaches `SPLIT_QUERY_SIZE`
+    is split into parts (`_query_parts`): the calling thread queries the first
+    and persistent helper threads the others, each with a serial scipy query
+    that releases the GIL. (scipy's own `workers` start new threads on every
+    call, which costs more than a frame's k=1 query saves.) A point's
+    neighbors do not depend on the batch it is queried in, so splitting
+    keeps every bit.
     Compared with a balanced tree, the sliding-midpoint one may pick the
     other of two neighbors whose squared distances round to the same float.
     """
@@ -135,17 +146,19 @@ class SpatialIndex:
         # The tree keeps only neighbors strictly inside its bound, compared
         # in squared distance; the margin keeps every one within max_distance.
         bound = max_distance * (1.0 + 1e-9)
-        if _helpers is None or len(pts) < SPLIT_QUERY_SIZE:
+        parts = _query_parts(len(pts), kk)
+        if parts == 1:
             d, i = self._tree.query(pts, kk, distance_upper_bound=bound)
         else:
-            first, second = np.array_split(pts, 2)
-            job = _helpers.submit(self._tree.query, second, kk, distance_upper_bound=bound)
-            d, i = self._tree.query(first, kk, distance_upper_bound=bound)
-            # A half no helper has started yet (other callers' halves may be
+            first, *rest = np.array_split(pts, parts)
+            jobs = [_helpers.submit(self._tree.query, part, kk, distance_upper_bound=bound)
+                    for part in rest]
+            found = [self._tree.query(first, kk, distance_upper_bound=bound)]
+            # A part no helper has started yet (other callers' parts may be
             # ahead of it) is taken back rather than waited for.
-            d2, i2 = (self._tree.query(second, kk, distance_upper_bound=bound) if job.cancel()
-                      else job.result())
-            d, i = np.concatenate([d, d2]), np.concatenate([i, i2])
+            found += [self._tree.query(part, kk, distance_upper_bound=bound) if job.cancel()
+                      else job.result() for part, job in zip(rest, jobs)]
+            d, i = (np.concatenate(arrays) for arrays in zip(*found))
         if kk == 1:
             d = d.reshape(-1, 1)
             i = i.reshape(-1, 1)

@@ -81,23 +81,29 @@ class ChunksSeen:
         return self.tree.query(points, *args, **kwargs)
 
 
+def first_split(k):
+    """The smallest batch that `SpatialIndex.query` splits at k neighbors,
+    given a helper thread."""
+    return -(-geometry.SPLIT_QUERY_SIZE // (k + 7))
+
+
 @pytest.mark.parametrize("k, max_distance", [(1, 0.4), (20, np.inf)])
 def test_query_in_one_batch_equals_query_in_chunks(k, max_distance):
-    # The batch is split in two halves, one for a helper thread, and the
-    # chunks run on the calling thread alone; a point's neighbors do not
+    # The batch is split into parts, some for helper threads, and the
+    # chunks run whole on the calling thread; a point's neighbors do not
     # depend on either.
     rng = np.random.default_rng(16)
     index = SpatialIndex(PointCloud(rng.uniform(-10.0, 10.0, (4000, 3))))
-    points = rng.uniform(-11.0, 11.0, (2 * geometry.SPLIT_QUERY_SIZE + 1, 3))
+    points = rng.uniform(-11.0, 11.0, (2 * first_split(k) + 1, 3))
     seen = index._tree = ChunksSeen(index._tree)
     d, i = index.query(points, k=k, max_distance=max_distance)
     split = seen.chunks
     seen.chunks = []
-    chunk = geometry.SPLIT_QUERY_SIZE // 4
+    chunk = first_split(k) // 4
     parts = [index.query(points[s:s + chunk], k=k, max_distance=max_distance)
              for s in range(0, len(points), chunk)]
-    halves = np.array_split(points, 2 if geometry._helpers else 1)
-    assert sorted(n for n, _ in split) == sorted(len(h) for h in halves)
+    expected = np.array_split(points, geometry._query_parts(len(points), k))
+    assert sorted(n for n, _ in split) == sorted(len(e) for e in expected)
     assert [n for n, _ in seen.chunks] == [len(points[s:s + chunk]) for s in range(0, len(points), chunk)]
     assert {t for _, t in seen.chunks} == {threading.get_ident()}
     assert np.array_equal(d, np.concatenate([p[0] for p in parts]))
@@ -106,22 +112,58 @@ def test_query_in_one_batch_equals_query_in_chunks(k, max_distance):
         assert np.isinf(d).any() and np.isfinite(d).any()
 
 
-QUERY_BATCH_SIZES = [1, 2, 3, geometry.SPLIT_QUERY_SIZE - 1, geometry.SPLIT_QUERY_SIZE,
-                     geometry.SPLIT_QUERY_SIZE + 1, 2 * geometry.SPLIT_QUERY_SIZE + 1]
+def test_split_size_grows_with_the_query_and_parts_with_the_cores(monkeypatch):
+    # Two halves from 1500 points at k=1 and 445 at k=20, the sizes at which
+    # they broke even on 2 cores; on more cores every part keeps at least
+    # half the split size, and no host gets more parts than it has CPUs.
+    monkeypatch.setattr(geometry, "_cpus", 2)
+    assert (first_split(1), first_split(20)) == (1500, 445)
+    for k in (1, 4, 20):
+        assert geometry._query_parts(first_split(k) - 1, k) == 1
+        assert geometry._query_parts(first_split(k), k) == 2
+        assert geometry._query_parts(100 * first_split(k), k) == 2
+    monkeypatch.setattr(geometry, "_cpus", 1)
+    assert geometry._query_parts(100 * first_split(1), 1) == 1
+    monkeypatch.setattr(geometry, "_cpus", 8)
+    for k in (1, 20):
+        for n in range(first_split(k), 6 * first_split(k), 97):
+            parts = geometry._query_parts(n, k)
+            assert 2 <= parts <= 8
+            assert (n // parts) * (k + 7) >= geometry.SPLIT_QUERY_SIZE // 2 - (k + 7)
+        assert geometry._query_parts(100 * first_split(k), k) == 8
+
+
+def test_a_query_splits_into_as_many_parts_as_cpus(monkeypatch):
+    # More cores than this host may have: a batch goes out in one part per
+    # CPU, and the answer is the serial one.
+    with ThreadPoolExecutor(3) as helpers:
+        monkeypatch.setattr(geometry, "_cpus", 4)
+        monkeypatch.setattr(geometry, "_helpers", helpers)
+        rng = np.random.default_rng(7)
+        index = SpatialIndex(PointCloud(rng.normal(size=(3000, 3))))
+        points = rng.normal(size=(4 * first_split(20) + 3, 3))
+        seen = index._tree = ChunksSeen(index._tree)
+        d, i = index.query(points, k=20)
+    assert sorted(n for n, _ in seen.chunks) == sorted(len(p) for p in np.array_split(points, 4))
+    d_ref, i_ref = seen.tree.query(points, k=20)
+    assert np.array_equal(d, d_ref) and np.array_equal(i, i_ref)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     st.integers(0, 2**32 - 1),
-    st.one_of(st.sampled_from(QUERY_BATCH_SIZES), st.integers(1, 3 * geometry.SPLIT_QUERY_SIZE)),
     st.sampled_from([(1, 0.5), (1, np.inf), (20, np.inf)]),
     st.sampled_from(["normal", "small", "grid"]),
+    st.data(),
 )
-def test_split_query_equals_one_serial_query(seed, batch, k_and_bound, cloud):
+def test_split_query_equals_one_serial_query(seed, k_and_bound, cloud, data):
     # Batches on both sides of the split size, odd lengths, clouds smaller
     # than k (k is clamped) and integer grids, whose exact distance ties the
     # split must resolve as one serial query of the same tree does.
     k, max_distance = k_and_bound
+    first = first_split(k)
+    batch = data.draw(st.one_of(st.sampled_from([1, 2, 3, first - 1, first, first + 1, 2 * first + 1]),
+                                st.integers(1, 3 * first)))
     rng = np.random.default_rng(seed)
     if cloud == "grid":
         pts = rng.integers(-6, 7, (int(rng.integers(1, 3000)), 3)).astype(float)
@@ -140,11 +182,11 @@ def test_split_query_equals_one_serial_query(seed, batch, k_and_bound, cloud):
 
 
 def test_callers_on_more_threads_than_cores_share_the_helpers():
-    # Each caller splits its own batches; a half that a busy helper has not
+    # Each caller splits its own batches; a part that a busy helper has not
     # started is taken back, and every answer is the serial one.
     rng = np.random.default_rng(5)
     index = SpatialIndex(PointCloud(rng.normal(size=(3000, 3))))
-    batches = [rng.normal(size=(geometry.SPLIT_QUERY_SIZE + j, 3)) for j in range(40)]
+    batches = [rng.normal(size=(first_split(4) + j, 3)) for j in range(40)]
     tree = cKDTree(index.cloud.points, balanced_tree=False)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -158,24 +200,46 @@ def test_callers_on_more_threads_than_cores_share_the_helpers():
         assert np.array_equal(d, d_ref) and np.array_equal(i, i_ref)
 
 
-def _split_query_threads(conn):
-    """Run in a forked child: a split query, and the threads it ran on. The
-    batch is large enough that a live helper starts on its chunk before the
-    calling thread is done with its own and takes the chunk back."""
-    index = SpatialIndex(PointCloud(np.random.default_rng(1).normal(size=(500, 3))))
-    seen = index._tree = ChunksSeen(index._tree)
-    index.query(np.random.default_rng(3).normal(size=(100_000, 3)), k=3)
-    conn.send(len({t for _, t in seen.chunks}))
+class HelperAwaited:
+    """kd-tree proxy whose queries on the thread that made it wait until
+    another thread has queried, so that a split is seen to reach a helper
+    however the threads are scheduled; it records every querying thread."""
+
+    def __init__(self, tree):
+        self.tree, self.caller, self.threads = tree, threading.get_ident(), set()
+        self.helped = threading.Event()
+
+    def query(self, points, *args, **kwargs):
+        self.threads.add(threading.get_ident())
+        if threading.get_ident() == self.caller:
+            self.helped.wait(10.0)
+        self.helped.set()  # a part the caller takes back does not wait again
+        return self.tree.query(points, *args, **kwargs)
 
 
+def _split_query_in_child(conn):
+    """Run in a forked child: a split query, whether it equals the serial
+    one, and whether a helper thread ran a part of it."""
+    rng = np.random.default_rng(1)
+    index = SpatialIndex(PointCloud(rng.normal(size=(500, 3))))
+    points = rng.normal(size=(2 * first_split(3), 3))
+    seen = index._tree = HelperAwaited(index._tree)
+    d, i = index.query(points, k=3)
+    d_ref, i_ref = seen.tree.query(points, k=3)
+    conn.send((np.array_equal(d, d_ref) and np.array_equal(i, i_ref), len(seen.threads) > 1))
+
+
+# Python 3.12+ warns on every fork of a process with threads; the test forks
+# one on purpose.
+@pytest.mark.filterwarnings(r"ignore:This process \(pid=\d+\) is multi-threaded:DeprecationWarning")
 def test_a_forked_child_splits_queries_on_its_own_helpers():
     # Queries in the parent start the helper threads; a forked child has
-    # none of them, and must not wait for one.
+    # none of them, and must neither wait for one nor lose its own.
     index = SpatialIndex(PointCloud(np.random.default_rng(2).normal(size=(500, 3))))
-    index.query(np.zeros((2 * geometry.SPLIT_QUERY_SIZE, 3)), k=3)
+    index.query(np.zeros((2 * first_split(3), 3)), k=3)
     fork = multiprocessing.get_context("fork")
     receive, send = fork.Pipe(duplex=False)
-    child = fork.Process(target=_split_query_threads, args=(send,))
+    child = fork.Process(target=_split_query_in_child, args=(send,))
     child.start()
     finished = receive.poll(60.0)
     child.join(5.0)
@@ -183,8 +247,9 @@ def test_a_forked_child_splits_queries_on_its_own_helpers():
         child.kill()
         child.join()
     assert finished and child.exitcode == 0
-    threads = receive.recv()
-    assert threads == (2 if geometry._helpers else 1)
+    serial, helped = receive.recv()
+    assert serial
+    assert helped == (geometry._helpers is not None)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
